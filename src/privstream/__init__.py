@@ -17,8 +17,6 @@ from .accounting import (
     advanced_compose_delta,
     basic_compose,
     basic_split,
-    gumbel_gamma,
-    laplace_sigma,
     sparse_gumbel_scale,
     sparse_laplace_sigma,
     split_budget,

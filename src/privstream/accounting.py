@@ -123,34 +123,6 @@ def sparse_gumbel_scale(epsilon: float, delta: float) -> float:
     return 8.0 / (epsilon * math.log(2.0)) * math.log(2.0 / (epsilon * delta))
 
 
-def laplace_sigma(k: int, T: int, epsilon: float, delta: float) -> float:
-    """Per-instance Laplace scale for T parallel guess instances under
-    advanced composition of a total (epsilon, delta) budget.
-    """
-    if epsilon >= 1:
-        warnings.warn(
-            f"epsilon = {epsilon} >= 1: formula remains valid but the "
-            "utility analysis assumes epsilon < 1",
-            stacklevel=2,
-        )
-    eps_per, delta_per = per_guess_budget_advanced(epsilon, delta, T)
-    return sparse_laplace_sigma(k, eps_per, delta_per)
-
-
-def gumbel_gamma(T: int, epsilon: float, delta: float) -> float:
-    """Per-instance Gumbel scale for T parallel guess instances under
-    advanced composition of a total (epsilon, delta) budget.
-    """
-    if epsilon >= 1:
-        warnings.warn(
-            f"epsilon = {epsilon} >= 1: formula remains valid but the "
-            "utility analysis assumes epsilon < 1",
-            stacklevel=2,
-        )
-    eps_per, delta_per = per_guess_budget_advanced(epsilon, delta, T)
-    return sparse_gumbel_scale(eps_per, delta_per)
-
-
 @dataclass(frozen=True)
 class BudgetSplit:
     """Resolved per-phase budgets and noise scales for one maximizer run.

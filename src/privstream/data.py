@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +43,8 @@ class PointCloud:
 def load_points_csv(path, x_column: str, y_column: str, max_rows: int | None = None) -> PointCloud:
     """Load 2-D points from a headered CSV.
 
-    Malformed rows (missing or non-numeric coordinates) are skipped and
-    counted; ``max_rows`` caps the number of valid rows kept.
+    Malformed rows (missing, non-numeric or non-finite coordinates) are
+    skipped and counted; ``max_rows`` caps the number of valid rows kept.
     """
     points = []
     skipped = 0
@@ -59,6 +60,8 @@ def load_points_csv(path, x_column: str, y_column: str, max_rows: int | None = N
                 x = float(row[x_column])
                 y = float(row[y_column])
             except (TypeError, ValueError):
+                x = y = math.nan
+            if not (math.isfinite(x) and math.isfinite(y)):
                 skipped += 1
                 continue
             points.append((x, y))

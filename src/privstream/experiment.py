@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -198,37 +199,30 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                 costs = []
                 retained = []
                 calls = []
+                solved = None
                 try:
-                    if method == "nonprivate" and not cfg.shuffle_stream:
-                        # Deterministic given data and order: solve once, the
-                        # repetition axis would only repeat the same value.
-                        S, kept = _run_nonprivate(oracle, stream, cfg, k, epsilon)
-                        costs = [oracle.clustering_cost(S)] * cfg.repetitions
-                        retained = [kept] * cfg.repetitions
-                        calls = [0] * cfg.repetitions
-                    else:
-                        for rep in range(cfg.repetitions):
-                            rep_stream = _stream_for_rep(cfg, stream, rep)
-                            seed = derive_seed(
-                                cfg.master_seed, method_idx, k_idx, eps_idx, rep
+                    for rep in range(cfg.repetitions):
+                        rep_stream = _stream_for_rep(cfg, stream, rep)
+                        seed = derive_seed(cfg.master_seed, method_idx, k_idx, eps_idx, rep)
+                        if method == "nonprivate":
+                            # Deterministic given data and order: without
+                            # shuffling, every repetition reuses one solve.
+                            if solved is None or cfg.shuffle_stream:
+                                solved = _run_nonprivate(oracle, rep_stream, cfg, k, epsilon)
+                            S, kept = solved
+                            ncalls = 0
+                        elif method == "random":
+                            S = _run_random(rep_stream, k, seed)
+                            kept, ncalls = len(S), 0
+                        else:
+                            S, kept, ncalls, ok = _run_private(
+                                oracle, rep_stream, cfg, method, k, epsilon,
+                                delta, seed,
                             )
-                            if method == "nonprivate":
-                                S, kept = _run_nonprivate(
-                                    oracle, rep_stream, cfg, k, epsilon
-                                )
-                                ncalls = 0
-                            elif method == "random":
-                                S = _run_random(rep_stream, k, seed)
-                                kept, ncalls = len(S), 0
-                            else:
-                                S, kept, ncalls, ok = _run_private(
-                                    oracle, rep_stream, cfg, method, k, epsilon,
-                                    delta, seed,
-                                )
-                                cell.resource_ok = cell.resource_ok and ok
-                            costs.append(oracle.clustering_cost(S))
-                            retained.append(kept)
-                            calls.append(ncalls)
+                            cell.resource_ok = cell.resource_ok and ok
+                        costs.append(oracle.clustering_cost(S))
+                        retained.append(kept)
+                        calls.append(ncalls)
                 except Exception as exc:  # noqa: BLE001 - cell isolation
                     cell.error = f"{type(exc).__name__}: {exc}"
                 else:
@@ -305,35 +299,30 @@ def read_report_csv(path) -> dict[tuple[int, str], tuple[float, float]]:
     return out
 
 
-_LIST_FIELDS = {"k_values": int, "epsilon_values": float, "methods": str}
-_SCALAR_PARSERS = {
-    "dataset": str, "components": int, "points_per_component": int,
-    "box_side": float, "csv_path": str, "x_column": str, "y_column": str,
-    "max_rows": int, "grid_side": int, "theta": float, "repetitions": int,
-    "composition": str, "master_seed": int, "shuffle_stream": None,
-    "eta": float, "out_dir": str, "prefix": str, "delta": None,
-}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+# Optional fields read these words as None; for delta that is 1/|P|^1.5.
+_NONE_WORDS = ("auto", "inverse_n_1p5")
 
 
 def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key in _LIST_FIELDS:
-        cast = _LIST_FIELDS[key]
-        return tuple(cast(part.strip()) for part in raw.split(",") if part.strip())
-    if key == "shuffle_stream":
-        if raw.lower() in ("true", "yes", "1"):
-            return True
-        if raw.lower() in ("false", "no", "0"):
-            return False
-        raise ValueError(f"shuffle_stream must be a boolean, got {raw!r}")
-    if key == "delta":
-        if raw.lower() in ("auto", "inverse_n_1p5"):
-            return None
-        return float(raw)
-    parser = _SCALAR_PARSERS.get(key)
-    if parser is None:
+    """Parse one raw config value by the type of its ExperimentConfig field."""
+    kind = _FIELD_TYPES.get(key)
+    if kind is None:
         raise ValueError(f"unknown config key {key!r}")
-    return parser(raw)
+    raw = raw.strip()
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        return tuple(args[0](part.strip()) for part in raw.split(",") if part.strip())
+    if type(None) in args:
+        if raw.lower() in _NONE_WORDS:
+            return None
+        kind = args[0]
+    if kind is bool:
+        if raw.lower() not in _BOOLEANS:
+            raise ValueError(f"{key} must be a boolean, got {raw!r}")
+        return _BOOLEANS[raw.lower()]
+    return kind(raw)
 
 
 def parse_config_text(text: str) -> dict:
@@ -358,8 +347,3 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         for key, raw in overrides.items():
             values[key] = _parse_value(key, raw)
     return ExperimentConfig(**values)
-
-
-def override_config(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    parsed = {key: _parse_value(key, raw) for key, raw in overrides.items()}
-    return replace(cfg, **parsed)

@@ -158,7 +158,7 @@ def private_argmax(candidates, epsilon: float, sensitivity: float, source) -> in
     the argmax. The induced selection distribution is exactly
     exp(eps*q/(2*sens)) / sum(...), i.e. the exponential mechanism, without
     ever exponentiating a large score. A ``zero`` source degenerates to the
-    exact argmax with first-wins tie-breaking.
+    exact argmax with first-wins tie-breaking. Non-finite scores are rejected.
     """
     candidates = list(candidates)
     if not candidates:
@@ -174,6 +174,8 @@ def private_argmax(candidates, epsilon: float, sensitivity: float, source) -> in
     best_value = -math.inf
     for cand in candidates:
         value = cand.score
+        if not math.isfinite(value):
+            raise ValueError(f"candidate {cand.index} has non-finite score {value}")
         if not exact:
             value += sample_gumbel(0.0, scale, source)
         if value > best_value:

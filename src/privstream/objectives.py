@@ -44,7 +44,8 @@ def bounding_box_l1_diameter(points: np.ndarray) -> float:
 
 class _KMediansState(OracleState):
     # Owns a per-client nearest-distance vector; accept() tightens it in
-    # place, so marginals cost one vectorized pass over the clients.
+    # place and reads the value off it, so marginals and accepts each cost
+    # one vectorized pass over the clients.
 
     def __init__(self, oracle):
         super().__init__(oracle)
@@ -57,11 +58,10 @@ class _KMediansState(OracleState):
         return float(np.maximum(self._dmin - col, 0.0).sum() / self.oracle.normalizer)
 
     def accept(self, e) -> None:
-        gain = self.marginal(e)
         np.minimum(self._dmin, self.oracle._column(e), out=self._dmin)
         self.selected.append(e)
         self._selected_set.add(e)
-        self.value += gain
+        self.value = float(self.oracle.num_agents - self._dmin.sum() / self.oracle.normalizer)
 
 
 class KMediansObjective(DecomposableObjective):
@@ -114,15 +114,6 @@ class KMediansObjective(DecomposableObjective):
         dmin = self._min_distances(S)
         return float(self.num_agents - dmin.sum() / self.normalizer)
 
-    def marginal(self, e, S) -> float:
-        S = set(S)
-        if e in S:
-            self.duplicate_marginal_queries += 1
-            return 0.0
-        dmin = self._min_distances(S)
-        gains = np.maximum(dmin - self._column(e), 0.0)
-        return float(gains.sum() / self.normalizer)
-
     def agent_values(self, S) -> np.ndarray:
         return 1.0 - self._min_distances(set(S)) / self.normalizer
 
@@ -145,11 +136,6 @@ class _CoverageState(OracleState):
             return 0.0
         return float(self.oracle._counts.get(e, 0))
 
-    def accept(self, e) -> None:
-        self.value += self.marginal(e)
-        self.selected.append(e)
-        self._selected_set.add(e)
-
 
 class CoverageObjective(DecomposableObjective):
     """Multiset coverage by singletons: f(T) counts records whose label is in T.
@@ -166,12 +152,6 @@ class CoverageObjective(DecomposableObjective):
 
     def evaluate(self, S) -> float:
         return float(sum(self._counts.get(e, 0) for e in set(S)))
-
-    def marginal(self, e, S) -> float:
-        if e in set(S):
-            self.duplicate_marginal_queries += 1
-            return 0.0
-        return float(self._counts.get(e, 0))
 
     def agent_values(self, S) -> np.ndarray:
         chosen = set(S)

@@ -23,6 +23,10 @@ from .noise import (
 )
 from .submodular import ObjectiveOracle, brute_force_opt
 
+# (threshold, score) noise scales of a rung, as multiples of the calibrated
+# per-instance scale: Lap(sigma) vs Lap(2 sigma), Gumbel(gamma) on both sides.
+_SCALE_MULTIPLIERS = {LAPLACE: (1.0, 2.0), GUMBEL: (1.0, 1.0), ZERO_FOR_TEST: (0.0, 0.0)}
+
 
 @dataclass(frozen=True)
 class GuessLadder:
@@ -115,16 +119,13 @@ class SparseInstance:
     instance halts permanently after the k-th Top.
     """
 
-    __slots__ = ("guess", "threshold", "capacity", "count", "selected", "halted",
+    __slots__ = ("threshold", "capacity", "count", "halted",
                  "threshold_noise", "score_noise", "_alpha")
 
-    def __init__(self, threshold: float, capacity: int, threshold_noise, score_noise,
-                 guess: float | None = None):
-        self.guess = guess
+    def __init__(self, threshold: float, capacity: int, threshold_noise, score_noise):
         self.threshold = float(threshold)
         self.capacity = int(capacity)
         self.count = 0
-        self.selected: list = []
         self.threshold_noise = threshold_noise
         self.score_noise = score_noise
         self.halted = self.capacity <= 0
@@ -146,15 +147,42 @@ class SparseInstance:
         return False
 
 
+def _scan(f: ObjectiveOracle, V, instances, n: int) -> tuple[list, int, int]:
+    """Stream V once through the instances, each with a fresh oracle state
+    that accepts an element when its instance answers Top; halted instances
+    are skipped. Raises once V outgrows n. Returns (states, elements
+    streamed, marginal queries).
+    """
+    states = [f.make_state() for _ in instances]
+    pairs = list(zip(instances, states))
+    marginal_calls = 0
+    streamed = 0
+    for e in V:
+        streamed += 1
+        if streamed > n:
+            raise ValueError(
+                f"stream exceeds the declared n_bound of {n}; the lower "
+                "estimate E depends on it"
+            )
+        for inst, state in pairs:
+            if inst.halted:
+                continue
+            marginal_calls += 1
+            if inst.step(state.marginal(e)):
+                state.accept(e)
+    return states, streamed, marginal_calls
+
+
 @dataclass
 class PssmConfig:
     """Inputs of one private streaming maximization run.
 
     m_bound/n_bound are public upper bounds on the number of agents and the
-    stream length; m_bound defaults to the oracle's agent count for
-    decomposable objectives, n_bound to len(V). eta is the failure
-    probability quoted in the reported theoretical error bound; it does not
-    change the algorithm's behavior.
+    stream length. Private runs require m_bound: the ladder is built from
+    it, so it must not be read off the private data. Only the noiseless
+    ``zero`` kind falls back to a decomposable oracle's agent count.
+    n_bound defaults to len(V). eta is the failure probability quoted in the
+    reported theoretical error bound; it does not change the algorithm.
     """
 
     k: int
@@ -234,10 +262,10 @@ def pssm(f: ObjectiveOracle, V, cfg: PssmConfig) -> tuple[list, RunDiagnostics]:
 
     if cfg.m_bound is not None:
         m = float(cfg.m_bound)
-    elif f.decomposable:
-        m = float(f.num_agents)
+    elif not private and f.decomposable:
+        m = float(f.num_agents)  # noiseless runs claim no privacy
     else:
-        raise ValueError("m_bound is required for non-decomposable oracles")
+        raise ValueError("m_bound is required for private runs and non-decomposable oracles")
     V = list(V) if cfg.n_bound is None else V
     n = cfg.n_bound if cfg.n_bound is not None else len(V)
 
@@ -246,65 +274,24 @@ def pssm(f: ObjectiveOracle, V, cfg: PssmConfig) -> tuple[list, RunDiagnostics]:
     ladder = build_guess_ladder(E, m, cfg.theta)
     T = ladder.T
 
-    budget = None
-    if cfg.noise_kind == LAPLACE:
-        budget = split_budget(cfg.privacy, T, "laplace", k=cfg.k)
-        scale = budget.laplace_scale
-
-        def make_sources(i):
-            return (
-                NoiseSource(LAPLACE, scale, seed=(cfg.master_seed, i, 0)),
-                NoiseSource(LAPLACE, 2.0 * scale, seed=(cfg.master_seed, i, 1)),
-            )
-    elif cfg.noise_kind == GUMBEL:
-        budget = split_budget(cfg.privacy, T, "gumbel")
-        scale = budget.gumbel_scale
-
-        def make_sources(i):
-            return (
-                NoiseSource(GUMBEL, scale, seed=(cfg.master_seed, i, 0)),
-                NoiseSource(GUMBEL, scale, seed=(cfg.master_seed, i, 1)),
-            )
+    if private:
+        budget = split_budget(cfg.privacy, T, cfg.noise_kind, k=cfg.k)
+        scale = budget.laplace_scale if cfg.noise_kind == LAPLACE else budget.gumbel_scale
     else:
-        scale = 0.0
-
-        def make_sources(i):
-            return (
-                NoiseSource(ZERO_FOR_TEST, 0.0, seed=(cfg.master_seed, i, 0)),
-                NoiseSource(ZERO_FOR_TEST, 0.0, seed=(cfg.master_seed, i, 1)),
-            )
-
-    instances = []
-    states = []
-    for i, guess in enumerate(ladder.guesses):
-        threshold_noise, score_noise = make_sources(i)
-        inst = SparseInstance(
+        budget, scale = None, 0.0
+    threshold_mult, score_mult = _SCALE_MULTIPLIERS[cfg.noise_kind]
+    instances = [
+        SparseInstance(
             threshold=guess / (2.0 * cfg.k),
             capacity=cfg.k,
-            threshold_noise=threshold_noise,
-            score_noise=score_noise,
-            guess=guess,
+            threshold_noise=NoiseSource(cfg.noise_kind, threshold_mult * scale,
+                                        seed=(cfg.master_seed, i, 0)),
+            score_noise=NoiseSource(cfg.noise_kind, score_mult * scale,
+                                    seed=(cfg.master_seed, i, 1)),
         )
-        state = f.make_state()
-        inst.selected = state.selected
-        instances.append(inst)
-        states.append(state)
-
-    marginal_calls = 0
-    streamed = 0
-    for e in V:
-        streamed += 1
-        if streamed > n:
-            raise ValueError(
-                f"stream exceeds the declared n_bound of {n}; the lower "
-                "estimate E depends on it"
-            )
-        for inst, state in zip(instances, states):
-            if inst.halted:
-                continue
-            marginal_calls += 1
-            if inst.step(state.marginal(e)):
-                state.accept(e)
+        for i, guess in enumerate(ladder.guesses)
+    ]
+    states, streamed, marginal_calls = _scan(f, V, instances, n)
 
     values = tuple(f.evaluate(state.selected) for state in states)
     candidates = [ScoredCandidate(i, v) for i, v in enumerate(values)]
@@ -369,14 +356,8 @@ def bounded_noise_utility_check(f: ObjectiveOracle, V, k: int, O: float,
         capacity=k,
         threshold_noise=_BoundedUniformNoise(a_l, a_u, rng),
         score_noise=_BoundedUniformNoise(b_l, b_u, rng),
-        guess=O,
     )
-    state = f.make_state()
-    for e in V:
-        if inst.halted:
-            break
-        if inst.step(state.marginal(e)):
-            state.accept(e)
+    (state,), _, _ = _scan(f, V, [inst], len(V))
     _, opt_value = brute_force_opt(f, V, k)
     floor = min(
         O / 2.0 - k * b_u + k * a_l,

@@ -49,21 +49,8 @@ class ObjectiveOracle:
     decomposable: bool = False
     num_agents: int | None = None
 
-    def __init__(self):
-        self.duplicate_marginal_queries = 0
-
     def evaluate(self, S) -> float:
         raise NotImplementedError
-
-    def marginal(self, e, S) -> float:
-        """Marginal gain evaluate(S | {e}) - evaluate(S); 0 if e already in S."""
-        S = set(S)
-        if e in S:
-            self.duplicate_marginal_queries += 1
-            return 0.0
-        base = self.evaluate(S)
-        S.add(e)
-        return self.evaluate(S) - base
 
     def make_state(self) -> OracleState:
         return OracleState(self)
@@ -80,7 +67,6 @@ class DecomposableObjective(ObjectiveOracle):
     decomposable = True
 
     def __init__(self, num_agents: int):
-        super().__init__()
         if num_agents < 1:
             raise ValueError(f"need at least one agent, got {num_agents}")
         self.num_agents = num_agents
@@ -94,7 +80,6 @@ class ModularObjective(ObjectiveOracle):
     """Additive objective f(S) = sum of per-element non-negative weights."""
 
     def __init__(self, weights: dict):
-        super().__init__()
         if any(w < 0 for w in weights.values()):
             raise ValueError("modular weights must be non-negative")
         self.weights = dict(weights)
@@ -103,16 +88,13 @@ class ModularObjective(ObjectiveOracle):
     def evaluate(self, S) -> float:
         return float(sum(self.weights[e] for e in set(S)))
 
-    def marginal(self, e, S) -> float:
-        if e in set(S):
-            self.duplicate_marginal_queries += 1
-            return 0.0
-        return float(self.weights[e])
-
 
 def marginal_gain(f: ObjectiveOracle, e, S) -> float:
     """Marginal gain of e over S, 0 when e is already in S."""
-    return f.marginal(e, S)
+    state = f.make_state()
+    for x in S:
+        state.accept(x)
+    return state.marginal(e)
 
 
 _BRUTE_FORCE_LIMIT = 10**7
@@ -181,8 +163,8 @@ def check_submodular_monotone(f: ObjectiveOracle, V, trials: int, rng) -> Proper
         if not outside:
             continue
         e = outside[int(rng.integers(0, len(outside)))]
-        gain_s = f.marginal(e, S)
-        gain_t = f.marginal(e, T)
+        gain_s = marginal_gain(f, e, S)
+        gain_t = marginal_gain(f, e, T)
         tol = 1e-9 * max(1.0, abs(gain_s), abs(gain_t))
         if gain_t < -tol or gain_s < -tol:
             report.monotonicity_violations.append((e, tuple(S), tuple(T), gain_s, gain_t))

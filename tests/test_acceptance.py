@@ -191,7 +191,7 @@ def test_criterion_07_resource_invariants():
     stream = list(range(20))
     cfg = PssmConfig(
         k=4, theta=0.2, privacy=PrivacyParams(0.9, 1e-6),
-        noise_kind=GUMBEL, n_bound=len(stream), master_seed=3,
+        noise_kind=GUMBEL, m_bound=float(len(records)), n_bound=len(stream), master_seed=3,
     )
     selected, diag = pssm(f, iter(stream), cfg)
     assert diag.stream_length == len(stream)

@@ -12,13 +12,20 @@ from privstream.accounting import (
     advanced_compose_delta,
     basic_compose,
     basic_split,
-    gumbel_gamma,
-    laplace_sigma,
     per_guess_budget_advanced,
     sparse_gumbel_scale,
     sparse_laplace_sigma,
     split_budget,
 )
+
+
+# Per-instance scales of T guess instances under advanced composition.
+def laplace_sigma(k, T, eps, delta):
+    return split_budget(PrivacyParams(eps, delta, ADVANCED), T, "laplace", k).laplace_scale
+
+
+def gumbel_gamma(T, eps, delta):
+    return split_budget(PrivacyParams(eps, delta, ADVANCED), T, "gumbel").gumbel_scale
 
 
 def test_basic_compose_sums():

@@ -20,6 +20,10 @@ def test_load_points_csv_skips_malformed(tmp_path):
     cloud = load_points_csv(path, "x", "y")
     assert len(cloud) == 9
     assert cloud.skipped_rows == 1
+    path.write_text("x,y\n1.0,2.0\nnan,4.0\n3.0,6.0\n2.0,5.0\n")  # non-finite is malformed
+    cloud = load_points_csv(path, "x", "y")
+    assert cloud.skipped_rows == 1
+    assert cloud.bounding_box == (1.0, 2.0, 3.0, 6.0)
 
 
 def test_load_points_csv_max_rows(tmp_path):

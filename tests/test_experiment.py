@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,50 @@ def test_parse_config_text():
         parse_config_text("mystery_key = 3")
     with pytest.raises(ValueError):
         parse_config_text("just words")
+
+
+# A non-default value for every ExperimentConfig field: raw text, parsed value.
+NON_DEFAULT_VALUES = {
+    "dataset": ("csv", "csv"),
+    "components": ("4", 4),
+    "points_per_component": ("120", 120),
+    "box_side": ("12", 12.0),
+    "csv_path": ("data/points.csv", "data/points.csv"),
+    "x_column": ("lon", "lon"),
+    "y_column": ("lat", "lat"),
+    "max_rows": ("250", 250),
+    "grid_side": ("12", 12),
+    "k_values": ("3, 7", (3, 7)),
+    "epsilon_values": ("0.5, 2", (0.5, 2.0)),
+    "theta": ("0.3", 0.3),
+    "delta": ("1e-4", 1e-4),
+    "repetitions": ("5", 5),
+    "composition": ("advanced", "advanced"),
+    "master_seed": ("9", 9),
+    "methods": ("gumbel, random", ("gumbel", "random")),
+    "shuffle_stream": ("yes", True),
+    "eta": ("0.05", 0.05),
+    "out_dir": ("out/run1", "out/run1"),
+    "prefix": ("desk_", "desk_"),
+}
+
+
+def test_parse_config_text_every_field():
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert sorted(NON_DEFAULT_VALUES) == sorted(fields)
+    default = ExperimentConfig()
+    for key, (raw, expected) in NON_DEFAULT_VALUES.items():
+        value = parse_config_text(f"{key} = {raw}")[key]
+        assert value == expected and value != getattr(default, key), key
+        assert type(value) is type(expected), key
+        if isinstance(value, tuple):
+            assert [type(v) for v in value] == [type(v) for v in expected], key
+    text = "\n".join(f"{key} = {raw}" for key, (raw, _) in NON_DEFAULT_VALUES.items())
+    cfg = ExperimentConfig(**parse_config_text(text))
+    assert cfg == ExperimentConfig(**{k: v for k, (_, v) in NON_DEFAULT_VALUES.items()})
+    assert parse_config_text("delta = inverse_n_1p5")["delta"] is None
+    with pytest.raises(ValueError, match="boolean"):
+        parse_config_text("shuffle_stream = maybe")
 
 
 def test_load_config_with_overrides(tmp_path):

@@ -152,6 +152,12 @@ def test_private_argmax_single_and_errors():
         private_argmax([ScoredCandidate(0, 0.0)], 0.0, 1.0, src)
     with pytest.raises(ValueError):
         private_argmax([ScoredCandidate(0, 0.0)], 1.0, 0.0, src)
+    nan_pair = [ScoredCandidate(0, math.nan), ScoredCandidate(1, math.nan)]
+    with pytest.raises(ValueError, match="non-finite"):
+        private_argmax(nan_pair, 1.0, 1.0, src)
+    with pytest.raises(ValueError, match="non-finite"):
+        private_argmax([ScoredCandidate(0, 1.0), ScoredCandidate(1, math.inf)], 1.0, 1.0,
+                       NoiseSource(ZERO_FOR_TEST, 0.0, seed=0))
 
 
 def test_private_argmax_zero_source_is_exact():

@@ -10,7 +10,7 @@ from privstream.objectives import (
     kmedians_oracle,
     manhattan,
 )
-from privstream.submodular import brute_force_opt, check_submodular_monotone
+from privstream.submodular import brute_force_opt, check_submodular_monotone, marginal_gain
 
 
 def test_manhattan_basics():
@@ -97,8 +97,8 @@ def test_coverage_counts():
     assert f.evaluate([("a")]) == 2.0
     assert f.evaluate([]) == 0.0
     assert f.evaluate(["a", "b"]) == 3.0
-    assert f.marginal("a", ["a"]) == 0.0
-    assert f.marginal("z", []) == 0.0
+    assert marginal_gain(f, "a", ["a"]) == 0.0
+    assert marginal_gain(f, "z", []) == 0.0
     state = f.make_state()
     state.accept("b")
     assert state.value == 1.0

@@ -162,15 +162,16 @@ def test_pssm_empty_stream():
 def test_pssm_determinism_and_seed_sensitivity():
     rng = np.random.default_rng(8)
     f, stream = random_coverage_instance(rng)
-    cfg = make_cfg(noise_kind=GUMBEL, master_seed=123)
+    m = float(f.num_agents)
+    cfg = make_cfg(noise_kind=GUMBEL, m_bound=m, master_seed=123)
     sel_a, diag_a = pssm(f, stream, cfg)
-    sel_b, diag_b = pssm(f, stream, make_cfg(noise_kind=GUMBEL, master_seed=123))
+    sel_b, diag_b = pssm(f, stream, make_cfg(noise_kind=GUMBEL, m_bound=m, master_seed=123))
     assert sel_a == sel_b
     assert diag_a.per_guess_sizes == diag_b.per_guess_sizes
     assert diag_a.per_guess_values == diag_b.per_guess_values
     assert diag_a.chosen_index == diag_b.chosen_index
     outcomes = {
-        tuple(pssm(f, stream, make_cfg(noise_kind=GUMBEL, master_seed=s))[0])
+        tuple(pssm(f, stream, make_cfg(noise_kind=GUMBEL, m_bound=m, master_seed=s))[0])
         for s in range(6)
     }
     assert len(outcomes) > 1  # seeds actually steer the run
@@ -181,11 +182,19 @@ def test_pssm_validation():
     with pytest.raises(ValueError):
         pssm(f, ["a"], make_cfg(noise_kind=GUMBEL))  # not decomposable
     cov = coverage_oracle([1, 1, 2])
-    with pytest.raises(ValueError):
-        pssm(cov, [1, 2, 3], make_cfg(noise_kind=LAPLACE, n_bound=2))  # stream too long
+    with pytest.raises(ValueError, match="n_bound"):
+        pssm(cov, [1, 2, 3], make_cfg(noise_kind=LAPLACE, m_bound=3.0, n_bound=2))
     scaled = ModularObjective({"a": 3.0})
     with pytest.raises(ValueError):
         pssm(scaled, ["a"], make_cfg(noise_kind=LAPLACE, m_bound=4.0))  # sensitivity != 1
+    # Private runs need a public m_bound: the agent count would give the
+    # neighbours [0, 1, 2] and [0, 1] ladders 1.5...3.0 and 1.0...2.0.
+    for records in ([0, 1, 2], [0, 1]):
+        with pytest.raises(ValueError, match="m_bound"):
+            pssm(coverage_oracle(records), [0, 1, 2, 3],
+                 make_cfg(noise_kind=GUMBEL, k=2, n_bound=4))
+    _, diag = pssm(coverage_oracle([0, 1, 2]), [0, 1, 2, 3], make_cfg(k=2, n_bound=4))
+    assert diag.guesses[-1] == 3.0  # the noiseless kind keeps the agent count
 
 
 def test_pssm_single_pass_and_call_counts():
@@ -202,7 +211,7 @@ def test_pssm_single_pass_and_call_counts():
 def test_pssm_resource_invariants():
     rng = np.random.default_rng(9)
     f, stream = random_coverage_instance(rng)
-    cfg = make_cfg(noise_kind=GUMBEL, master_seed=5)
+    cfg = make_cfg(noise_kind=GUMBEL, m_bound=float(f.num_agents), master_seed=5)
     selected, diag = pssm(f, stream, cfg)
     assert len(selected) <= cfg.k
     assert set(selected) <= set(stream)

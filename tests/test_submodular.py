@@ -53,7 +53,6 @@ def test_modular_marginals():
     f = ModularObjective({"a": 3.0, "b": 2.0})
     assert marginal_gain(f, "a", []) == 3.0
     assert marginal_gain(f, "a", ["a"]) == 0.0
-    assert f.duplicate_marginal_queries == 1
     assert f.evaluate(["a", "b"]) == 5.0
 
 
