@@ -7,6 +7,7 @@ produces identical output files.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import typing
 from dataclasses import dataclass, field
@@ -64,6 +65,14 @@ class ExperimentConfig:
             raise ValueError("csv dataset requires csv_path")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
+        if not self.k_values or not all(
+                isinstance(k, numbers.Integral) and k >= 1 for k in self.k_values):
+            raise ValueError(f"k_values must be a non-empty list of integers >= 1, "
+                             f"got {self.k_values}")
+        if not self.epsilon_values or not all(
+                math.isfinite(eps) and eps > 0 for eps in self.epsilon_values):
+            raise ValueError(f"epsilon_values must be a non-empty list of finite "
+                             f"values > 0, got {self.epsilon_values}")
         if not 0 < self.theta < 1:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         unknown = set(self.methods) - set(METHODS)
@@ -150,18 +159,17 @@ def _run_private(oracle, stream, cfg, method, k, epsilon, delta, seed):
     return selected, diag.retained_total, diag.marginal_calls, resource_ok
 
 
-def _run_nonprivate(oracle, stream, cfg, k, epsilon):
-    # E additionally capped by the best singleton so the baseline's ladder
-    # has at least as many rungs as the private runs.
+def _run_nonprivate(oracle, stream, cfg, k, epsilon, best_singleton):
+    # E additionally capped by the best singleton (max over the stream's
+    # elements) so the baseline's ladder has at least as many rungs as the
+    # private runs.
     n = len(stream)
-    best_singleton = max(oracle.evaluate([e]) for e in stream)
     E = min(best_singleton, k * math.log(max(n, 2)) / epsilon, oracle.num_agents / 2.0)
     ladder = build_guess_ladder(E, float(oracle.num_agents), cfg.theta)
     best_set: list = []
     best_value = -math.inf
     retained = 0
-    for guess in ladder.guesses:
-        S = threshold_stream_with_tail_fill(oracle, stream, k, guess)
+    for S in threshold_stream_with_tail_fill(oracle, stream, k, ladder.guesses):
         retained += len(S)
         value = oracle.evaluate(S)
         if value > best_value:
@@ -188,6 +196,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     oracle = kmedians_oracle(clients.points, stream)
 
     report = RunReport(client_count=len(clients), grid_points=len(stream), delta=delta)
+    # Every repetition streams the same elements, so one max serves them all.
+    if "nonprivate" in cfg.methods:
+        best_singleton = max(oracle.evaluate([e]) for e in stream)
     for method in METHODS:
         if method not in cfg.methods:
             continue
@@ -208,7 +219,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                             # Deterministic given data and order: without
                             # shuffling, every repetition reuses one solve.
                             if solved is None or cfg.shuffle_stream:
-                                solved = _run_nonprivate(oracle, rep_stream, cfg, k, epsilon)
+                                solved = _run_nonprivate(oracle, rep_stream, cfg, k, epsilon,
+                                                         best_singleton)
                             S, kept = solved
                             ncalls = 0
                         elif method == "random":

@@ -45,7 +45,10 @@ def bounding_box_l1_diameter(points: np.ndarray) -> float:
 class _KMediansState(OracleState):
     # Owns a per-client nearest-distance vector; accept() tightens it in
     # place and reads the value off it, so marginals and accepts each cost
-    # one vectorized pass over the clients.
+    # one vectorized pass over the clients. A superset's distances are
+    # elementwise <= a subset's (min is exact), and subtraction, max and
+    # pairwise summation all keep that order, so gains never grow.
+    exact_diminishing_returns = True
 
     def __init__(self, oracle):
         super().__init__(oracle)
@@ -131,6 +134,8 @@ def kmedians_oracle(clients, candidates, normalizer: float | None = None) -> KMe
 
 
 class _CoverageState(OracleState):
+    exact_diminishing_returns = True  # a count, or 0 once selected
+
     def marginal(self, e) -> float:
         if e in self._selected_set:
             return 0.0

@@ -9,6 +9,7 @@ objectives, Gumbel noise for decomposable ones.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -85,29 +86,79 @@ def threshold_stream(f: ObjectiveOracle, V, k: int, O: float) -> list:
     return state.selected
 
 
-def threshold_stream_with_tail_fill(f: ObjectiveOracle, V, k: int, O: float) -> list:
-    """Threshold pass that tops the set up to k from the stream tail.
+def threshold_stream_with_tail_fill(f: ObjectiveOracle, V, k: int, guesses) -> list[list]:
+    """Noiseless threshold passes for an ascending ladder of guesses, run in
+    one pass over V; returns one set per guess.
 
-    Once the elements left in the stream no longer exceed the free slots,
-    every remaining element is accepted outright. Only sensible without
-    noise; the benchmark's non-private baseline uses it.
+    Each guess O accepts e while |S| < k and f(e|S) >= O/(2k), and tops its
+    set up to k from the stream tail: once the elements left no longer
+    exceed the free slots, every remaining element is accepted outright.
+    Only sensible without noise; the sweep's non-private baseline uses it.
+
+    The sets equal those of separate per-guess passes. Rungs that accepted
+    the same sequence share one oracle state: bars ascend, so such a group
+    is a contiguous run of rungs and the rungs that accept an element are a
+    prefix of it. A splitting group's accepting part replays its sequence
+    into a fresh state, which reproduces the per-guess state exactly. When
+    the states declare ``exact_diminishing_returns``, groups are visited
+    from the highest bars down and a group skips its marginal when a group
+    with a subset of its set already measured a gain below all its bars.
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    if not O > 0:
-        raise ValueError(f"guess O must be positive, got {O}")
+    guesses = list(guesses)
+    if not guesses:
+        raise ValueError("guesses must be non-empty")
+    if not all(O > 0 for O in guesses):
+        raise ValueError(f"guesses must be positive, got {guesses}")
+    if any(b < a for a, b in zip(guesses, guesses[1:])):
+        raise ValueError(f"guesses must ascend, got {guesses}")
+    bars = [O / (2.0 * k) for O in guesses]
     V = list(V)
-    state = f.make_state()
-    bar = O / (2.0 * k)
+    root = f.make_state()
+    skip = root.exact_diminishing_returns
+    # (first rung, end rung, state); active groups run from highest bars down.
+    active = [(0, len(bars), root)]
+    full = []
     for i, e in enumerate(V):
-        if len(state) >= k:
+        if not active:
             break
-        if len(V) - i <= k - len(state):
-            if e not in state._selected_set:
-                state.accept(e)
-        elif state.marginal(e) >= bar:
+        left = len(V) - i
+        ruled_out = []  # (gain bound, selected set) of groups that rejected e
+        groups = []
+        for lo, hi, state in active:
+            if left <= k - len(state):
+                if e not in state._selected_set:
+                    state.accept(e)
+                groups.append((lo, hi, state))  # full only once V is spent
+                continue
+            bound = None
+            if skip:
+                bound = next((g for g, sub in reversed(ruled_out)
+                              if g < bars[lo] and sub <= state._selected_set), None)
+            if bound is None:
+                gain = state.marginal(e)
+                split = bisect.bisect_right(bars, gain, lo, hi)
+            else:
+                gain, split = bound, lo
+            if split == lo:
+                ruled_out.append((gain, state._selected_set))
+                groups.append((lo, hi, state))
+                continue
+            if split < hi:
+                groups.append((split, hi, state))
+                accepted = f.make_state()
+                for x in state.selected:
+                    accepted.accept(x)
+                state = accepted
             state.accept(e)
-    return state.selected
+            (full if len(state) >= k else groups).append((lo, split, state))
+        active = groups
+    sets: list = [None] * len(bars)
+    for lo, hi, state in full + active:
+        for r in range(lo, hi):
+            sets[r] = list(state.selected)
+    return sets
 
 
 class SparseInstance:

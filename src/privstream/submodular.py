@@ -19,7 +19,12 @@ class OracleState:
     ``accept(e)`` grows the set. The generic implementation recomputes via
     evaluate(); oracles override :meth:`ObjectiveOracle.make_state` with an
     incremental form that must agree with the evaluate difference.
+
+    ``exact_diminishing_returns`` declares that a state whose set contains
+    this one's never answers a larger marginal, exactly in floating point.
     """
+
+    exact_diminishing_returns = False
 
     def __init__(self, oracle):
         self.oracle = oracle

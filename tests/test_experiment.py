@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -122,6 +123,12 @@ def test_config_validation():
         ExperimentConfig(methods=("laplace", "quantum"))
     with pytest.raises(ValueError):
         ExperimentConfig(repetitions=0)
+    for k_values in ((), (0,), (5, -1), (2.5,)):
+        with pytest.raises(ValueError, match="k_values"):
+            ExperimentConfig(k_values=k_values)
+    for epsilon_values in ((), (math.nan,), (0.0,), (-1.0,), (math.inf,), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="epsilon_values"):
+            ExperimentConfig(epsilon_values=epsilon_values)
 
 
 def test_tiny_sweep_structure():
@@ -170,7 +177,9 @@ def test_nonprivate_approximation_on_small_instance():
     candidates = [tuple(p) for p in rng.uniform(0, 10, size=(20, 2))]
     oracle = kmedians_oracle(clients, candidates)
     cfg = ExperimentConfig(k_values=(3,), epsilon_values=(0.5,), theta=0.2)
-    S, _ = _run_nonprivate(oracle, candidates, cfg, k=3, epsilon=0.5)
+    best_singleton = max(oracle.evaluate([e]) for e in candidates)
+    S, _ = _run_nonprivate(oracle, candidates, cfg, k=3, epsilon=0.5,
+                           best_singleton=best_singleton)
     _, opt = brute_force_opt(oracle, candidates, 3)
     assert oracle.evaluate(S) >= (1 - cfg.theta) / 2 * opt
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,11 +99,121 @@ def test_threshold_stream_edge_cases():
 
 def test_tail_fill_tops_up():
     f = ModularObjective({i: 0.01 for i in range(6)})
-    S = threshold_stream_with_tail_fill(f, list(range(6)), k=3, O=100.0)
+    [S] = threshold_stream_with_tail_fill(f, list(range(6)), 3, [100.0])
     assert S == [3, 4, 5]  # nothing passes, the last 3 fill the set
     g = ModularObjective({0: 9.0, 1: 0.01, 2: 0.01, 3: 0.01})
-    S = threshold_stream_with_tail_fill(g, [0, 1, 2, 3], k=2, O=10.0)
+    [S] = threshold_stream_with_tail_fill(g, [0, 1, 2, 3], 2, [10.0])
     assert S == [0, 3]  # 0 passes, the tail provides the filler
+
+
+def per_guess_tail_fill(f, V, k, O):
+    # Reference: one separate tail-fill pass for the single guess O.
+    V = list(V)
+    state = f.make_state()
+    bar = O / (2.0 * k)
+    for i, e in enumerate(V):
+        if len(state) >= k:
+            break
+        if len(V) - i <= k - len(state):
+            if e not in state._selected_set:
+                state.accept(e)
+        elif state.marginal(e) >= bar:
+            state.accept(e)
+    return state.selected
+
+
+def assert_ladder_matches_per_guess(f, V, k, guesses):
+    sets = threshold_stream_with_tail_fill(f, V, k, guesses)
+    assert sets == [per_guess_tail_fill(f, V, k, O) for O in guesses]
+    return sets
+
+
+@given(
+    clients=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=25),
+    candidates=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1,
+                        max_size=10, unique=True),
+    picks=st.lists(st.integers(0, 9), min_size=1, max_size=16),
+    k_extra=st.integers(-16, 1),
+    fracs=st.lists(st.floats(0.001, 1.5), min_size=1, max_size=12),
+)
+@settings(max_examples=150, deadline=None)
+def test_ladder_matches_per_guess_passes_kmedians(clients, candidates, picks, k_extra, fracs):
+    V = [candidates[i % len(candidates)] for i in picks]  # repeats allowed
+    k = max(1, len(V) + k_extra)  # up to |V| + 1, so the tail fill fires
+    f = kmedians_oracle(np.array(clients, dtype=float), candidates, normalizer=30.0)
+    top = max(f.evaluate([e]) for e in V)
+    guesses = sorted(2 * k * top * x for x in fracs)
+    assert_ladder_matches_per_guess(f, V, k, guesses)
+
+
+@given(
+    records=st.lists(st.integers(0, 6), min_size=1, max_size=30),
+    V=st.lists(st.integers(0, 8), min_size=1, max_size=16),
+    k=st.integers(1, 17),
+    bars=st.lists(st.one_of(st.integers(1, 8), st.floats(0.01, 9.0)), min_size=1, max_size=10),
+)
+@settings(max_examples=150, deadline=None)
+def test_ladder_matches_per_guess_passes_coverage(records, V, k, bars):
+    # Integer bars equal some gains exactly: the >= tie.
+    f = coverage_oracle(records)
+    assert_ladder_matches_per_guess(f, V, k, sorted(2.0 * k * b for b in bars))
+
+
+def test_ladder_edge_cases():
+    # bar == gain exactly: bars 1, 2, 3 against gains 1 (label 2), 2 (1), 3 (0).
+    f = coverage_oracle([0, 0, 0, 1, 1, 2])
+    sets = assert_ladder_matches_per_guess(f, [2, 1, 0, 3], 2, [4.0, 8.0, 12.0])
+    assert sets == [[2, 1], [1, 0], [0, 3]]  # the last rung's 3 is tail fill
+    # A repeated element: its second copy gains 0 and the tail fill skips it.
+    g = coverage_oracle([0, 0, 1])
+    sets = assert_ladder_matches_per_guess(g, [0, 1, 0, 0], 3, [0.6, 60.0])
+    assert sets == [[0, 1], [1, 0]]
+    # A higher rung rules a lower one out only from a subset of its set. At
+    # (11, 0) the bar-2.5 rung holds (5, 2) and gains 0.27 < 0.75, while the
+    # bar-0.75 rung holds (0, 10) instead and gains 0.87.
+    h = kmedians_oracle(np.array([[12.0, 2.0], [8.0, 12.0], [0.0, 2.0], [12.0, 6.0]]),
+                        [(11, 0), (0, 10), (5, 2)], normalizer=30.0)
+    sets = assert_ladder_matches_per_guess(h, [(0, 10), (5, 2), (11, 0), (0, 10)], 2, [3.0, 10.0])
+    assert sets == [[(0, 10), (11, 0)], [(5, 2), (0, 10)]]
+    # k close to |V| on k-medians: every rung fills up, and the top rung
+    # (bar 30 = |P|) clears nothing, so the tail fill supplies all of it.
+    rng = np.random.default_rng(5)
+    h = kmedians_oracle(rng.uniform(0, 10, size=(30, 2)),
+                        [tuple(p) for p in rng.uniform(0, 10, size=(8, 2))])
+    sets = assert_ladder_matches_per_guess(h, h.candidates, 7, [1.0, 5.0, 40.0, 420.0])
+    assert all(len(S) == 7 for S in sets)
+    assert sets[-1] == h.candidates[1:]
+
+
+def test_ladder_makes_fewer_marginal_calls_than_per_guess_passes():
+    rng = np.random.default_rng(8)
+    f = kmedians_oracle(rng.uniform(0, 20, size=(400, 2)),
+                        [tuple(p) for p in rng.uniform(0, 20, size=(120, 2))])
+    calls = [0]
+    base = type(f.make_state())
+
+    class CountingState(base):
+        def marginal(self, e):
+            calls[0] += 1
+            return super().marginal(e)
+
+    f.make_state = lambda: CountingState(f)
+    k = 5
+    guesses = build_guess_ladder(k * math.log(120) / 0.5, 400.0, 0.2).guesses
+    sets = threshold_stream_with_tail_fill(f, f.candidates, k, guesses)
+    ladder_calls, calls[0] = calls[0], 0
+    assert sets == [per_guess_tail_fill(f, f.candidates, k, O) for O in guesses]
+    assert ladder_calls < calls[0]
+
+
+def test_ladder_validation():
+    f = coverage_oracle([0, 1])
+    for guesses in ([], [0.0], [-1.0, 2.0], [math.nan], [2.0, 1.0]):
+        with pytest.raises(ValueError, match="guesses"):
+            threshold_stream_with_tail_fill(f, [0, 1], 1, guesses)
+    with pytest.raises(ValueError, match="k must"):
+        threshold_stream_with_tail_fill(f, [0, 1], 0, [1.0])
+    assert threshold_stream_with_tail_fill(f, [0, 1], 1, [1.0, 1.0]) == [[0], [0]]
 
 
 def test_sparse_instance_zero_noise_trace():
