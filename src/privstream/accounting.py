@@ -7,6 +7,7 @@ This module owns those splits and the per-instance noise scales they imply.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -139,11 +140,13 @@ class BudgetSplit:
     gumbel_scale: float | None = None
 
 
+@functools.lru_cache(maxsize=256)
 def split_budget(params: PrivacyParams, T: int, noise_kind: str, k: int | None = None) -> BudgetSplit:
     """Derive per-instance budgets and the noise scale for a maximizer run.
 
     ``noise_kind`` must be ``"laplace"`` (requires k) or ``"gumbel"``; the
-    noiseless test kind carries no guarantee and is rejected here.
+    noiseless test kind carries no guarantee and is rejected here. Memoized:
+    the split is a pure function of public inputs.
     """
     if noise_kind == "laplace":
         if k is None:

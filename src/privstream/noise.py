@@ -27,6 +27,8 @@ _U_HI = 1.0 - 2.0 ** -53
 
 _MASK64 = (1 << 64) - 1
 
+_log = math.log
+
 
 def derive_seed(*parts: int) -> int:
     """Mix integer parts into one 64-bit seed (splitmix64 chain).
@@ -45,23 +47,6 @@ def derive_seed(*parts: int) -> int:
     return x
 
 
-class UniformStream:
-    """Seeded uniform [0, 1) stream backed by a splitmix64 counter."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def random(self) -> float:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        z ^= z >> 31
-        return (z >> 11) * 1.1102230246251565e-16  # top 53 bits * 2^-53
-
-
 class NoiseSource:
     """A seeded scalar noise stream of a fixed kind, scale and location.
 
@@ -69,30 +54,58 @@ class NoiseSource:
     so the streaming algorithms can be exercised in their noiseless limit and
     are rejected by every budget constructor that reports a privacy guarantee.
 
+    The uniform engine is a splitmix64 counter started at ``seed``, the
+    :func:`derive_seed` mix of the constructor's seed parts. :meth:`spawn`
+    derives a sibling stream by mixing further parts onto that seed, so
+    ``NoiseSource(kind, scale, (a,)).spawn(b, c)`` draws exactly what
+    ``NoiseSource(kind, scale, (a, b, c))`` draws.
+
     A source is single-consumer state: concurrent users must each own an
     independently seeded instance (derive seeds from a master seed and a
     consumer index). The pure functions in this module are freely shareable.
     """
 
-    __slots__ = ("kind", "scale", "location", "_rng")
+    __slots__ = ("kind", "scale", "location", "seed", "_state")
 
     def __init__(self, kind: str, scale: float, seed, location: float = 0.0):
-        if kind not in _KINDS:
-            raise ValueError(f"unknown noise kind {kind!r}")
-        if kind != ZERO_FOR_TEST and not scale > 0:
-            raise ValueError(f"scale must be positive, got {scale}")
+        _check_kind(kind, scale)
         self.kind = kind
         self.scale = float(scale)
         self.location = float(location)
-        if isinstance(seed, int):
-            seed = derive_seed(seed)
+        self.seed = self._state = derive_seed(seed) if isinstance(seed, int) else derive_seed(*seed)
+
+    def spawn(self, *parts: int, kind: str | None = None, scale: float | None = None) -> NoiseSource:
+        """A fresh stream seeded with this source's seed parts plus ``parts``.
+
+        Mixes only the new parts onto the stored seed (not the current
+        counter), and keeps this source's kind, scale and location unless
+        ``kind`` or ``scale`` is given.
+        """
+        if kind is None and scale is None:
+            kind, scale = self.kind, self.scale
         else:
-            seed = derive_seed(*seed)
-        self._rng = UniformStream(seed)
+            kind = self.kind if kind is None else kind
+            scale = self.scale if scale is None else float(scale)
+            _check_kind(kind, scale)
+        x = self.seed
+        for p in parts:
+            x = ((x ^ (int(p) & _MASK64)) * 0xBF58476D1CE4E5B9) & _MASK64
+            x ^= x >> 27
+            x = (x * 0x94D049BB133111EB) & _MASK64
+            x ^= x >> 31
+        child = object.__new__(NoiseSource)
+        child.kind = kind
+        child.scale = scale
+        child.location = self.location
+        child.seed = child._state = x
+        return child
 
     def uniform(self) -> float:
         """One uniform draw clamped to the open interval (0, 1)."""
-        u = self._rng.random()
+        z = self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        u = ((z ^ (z >> 31)) >> 11) * 1.1102230246251565e-16  # top 53 bits * 2^-53
         if u < _U_LO:
             return _U_LO
         if u > _U_HI:
@@ -100,12 +113,36 @@ class NoiseSource:
         return u
 
     def draw(self) -> float:
-        """One draw from the source's own distribution."""
-        if self.kind == LAPLACE:
-            return self.location + sample_laplace(self.scale, self)
-        if self.kind == GUMBEL:
-            return sample_gumbel(self.location, self.scale, self)
-        return self.location
+        """One draw from the source's own distribution.
+
+        The counter step and the inverse CDF run inline: this is the engine's
+        hot path. It computes exactly what ``uniform`` followed by
+        :func:`sample_laplace` or :func:`sample_gumbel` computes.
+        """
+        kind = self.kind
+        if kind == ZERO_FOR_TEST:
+            return self.location
+        z = self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        u = ((z ^ (z >> 31)) >> 11) * 1.1102230246251565e-16
+        if u < _U_LO:
+            u = _U_LO
+        elif u > _U_HI:
+            u = _U_HI
+        if kind == GUMBEL:
+            return self.location - self.scale * _log(-_log(u))
+        u -= 0.5
+        if u >= 0:
+            return self.location + -self.scale * _log(1.0 - 2.0 * u)
+        return self.location + self.scale * _log(1.0 + 2.0 * u)
+
+
+def _check_kind(kind: str, scale: float) -> None:
+    if kind not in _KINDS:
+        raise ValueError(f"unknown noise kind {kind!r}")
+    if kind != ZERO_FOR_TEST and not scale > 0:
+        raise ValueError(f"scale must be positive, got {scale}")
 
 
 def sample_laplace(scale: float, source) -> float:
@@ -177,7 +214,7 @@ def private_argmax(candidates, epsilon: float, sensitivity: float, source) -> in
         if not math.isfinite(value):
             raise ValueError(f"candidate {cand.index} has non-finite score {value}")
         if not exact:
-            value += sample_gumbel(0.0, scale, source)
+            value += 0.0 - scale * _log(-_log(source.uniform()))  # sample_gumbel(0, scale)
         if value > best_value:
             best_value = value
             best_index = cand.index

@@ -73,22 +73,31 @@ class KMediansObjective(DecomposableObjective):
     clients: private demand points, one agent each.
     candidates: public facility locations (the stream's element domain).
     normalizer: public constant G >= every client-candidate distance; defaults
-        to the L1 diameter of the joint bounding box.
+        to the L1 diameter of the joint bounding box. Distances are capped at
+        G, so a G inside the 1e-9 slack below the largest distance still
+        keeps every utility in [0, 1]. G must be finite; G = 0 (every point
+        coincides) leaves every utility 0/0, so asking for any value raises.
     """
 
     def __init__(self, clients, candidates, normalizer: float | None = None):
         clients = np.asarray(clients, dtype=float)
         if clients.ndim != 2 or clients.shape[1] != 2 or len(clients) == 0:
             raise ValueError("clients must be a non-empty (n, 2) array")
+        if not np.isfinite(clients).all():
+            raise ValueError("client coordinates must be finite")
         super().__init__(num_agents=len(clients))
         self.clients = clients
         self.candidates = [tuple(map(float, v)) for v in candidates]
         if not self.candidates:
             raise ValueError("candidate set must be non-empty")
         cand_arr = np.asarray(self.candidates, dtype=float)
+        if not np.isfinite(cand_arr).all():
+            raise ValueError("candidate coordinates must be finite")
         required = _max_pairwise_l1(clients, cand_arr)
         if normalizer is None:
             normalizer = bounding_box_l1_diameter(np.vstack([clients, cand_arr]))
+        if not math.isfinite(normalizer):
+            raise ValueError(f"normalizer must be finite, got {normalizer}")
         if normalizer < required - 1e-9:
             raise ValueError(
                 f"normalizer {normalizer} is below the maximum client-candidate "
@@ -97,18 +106,31 @@ class KMediansObjective(DecomposableObjective):
         self.normalizer = float(normalizer)
         self._columns: dict = {}
 
+    def _require_positive_normalizer(self) -> None:
+        # Checked where a value is first computed, not in __init__, so a
+        # degenerate oracle can still be built (e.g. to get its state type).
+        if not self.normalizer > 0:
+            raise ValueError(
+                "normalizer is 0 (every client and candidate coincide), so "
+                "every utility 1 - d/G would be 0/0"
+            )
+
     def _column(self, e) -> np.ndarray:
         col = self._columns.get(e)
         if col is None:
+            self._require_positive_normalizer()
             col = np.abs(self.clients - np.asarray(e, dtype=float)).sum(axis=1)
             self._columns[e] = col
         return col
 
     def _min_distances(self, S) -> np.ndarray:
+        # Starts from d(p, empty) = G, as the incremental state does, so the
+        # two agree exactly even where a distance exceeds G (by <= 1e-9).
         cols = [self._column(e) for e in S]
         if not cols:
+            self._require_positive_normalizer()
             return np.full(self.num_agents, self.normalizer)
-        return np.minimum.reduce(cols)
+        return np.minimum.reduce(cols, initial=self.normalizer)
 
     def evaluate(self, S) -> float:
         S = set(S)
@@ -140,6 +162,14 @@ class _CoverageState(OracleState):
         if e in self._selected_set:
             return 0.0
         return float(self.oracle._counts.get(e, 0))
+
+    def accept(self, e) -> None:
+        # Adds the integer count of a new element: exact in floating point,
+        # so value stays equal to evaluate()'s sum of the same counts.
+        if e not in self._selected_set:
+            self._selected_set.add(e)
+            self.value += self.oracle._counts.get(e, 0)
+        self.selected.append(e)
 
 
 class CoverageObjective(DecomposableObjective):

@@ -20,6 +20,9 @@ class OracleState:
     evaluate(); oracles override :meth:`ObjectiveOracle.make_state` with an
     incremental form that must agree with the evaluate difference.
 
+    ``value`` equals ``oracle.evaluate(selected)`` exactly after every
+    accept, so callers read a set's value off its state.
+
     ``exact_diminishing_returns`` declares that a state whose set contains
     this one's never answers a larger marginal, exactly in floating point.
     """
@@ -41,10 +44,11 @@ class OracleState:
         return self.oracle.evaluate(self.selected + [e]) - self.value
 
     def accept(self, e) -> None:
-        gain = self.marginal(e)
+        # A repeated element is appended again (a noisy rung may accept it
+        # twice); evaluate() reads S as a set, so the value is unchanged.
         self.selected.append(e)
         self._selected_set.add(e)
-        self.value += gain
+        self.value = self.oracle.evaluate(self.selected)
 
 
 class ObjectiveOracle:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from privstream.objectives import (
@@ -10,7 +10,12 @@ from privstream.objectives import (
     kmedians_oracle,
     manhattan,
 )
-from privstream.submodular import brute_force_opt, check_submodular_monotone, marginal_gain
+from privstream.submodular import (
+    ModularObjective,
+    brute_force_opt,
+    check_submodular_monotone,
+    marginal_gain,
+)
 
 
 def test_manhattan_basics():
@@ -39,6 +44,79 @@ def test_kmedians_normalizer_validation():
     # default normalizer is the bounding-box l1 diameter: always valid
     f = kmedians_oracle([(0.0, 0.0), (1.0, 9.0)], [(3.0, 4.0), (-2.0, 0.0)])
     assert f.normalizer == pytest.approx((3.0 - (-2.0)) + (9.0 - 0.0))
+
+
+def test_kmedians_degenerate_normalizer():
+    # Every point coincides: G = 0 and each utility would be 0/0. Building
+    # the oracle works; asking for any value raises instead of giving NaN.
+    f = kmedians_oracle([[0.0, 0.0]], [(0.0, 0.0)])
+    assert f.evaluate([]) == 0.0
+    state = f.make_state()
+    for ask in (lambda: f.evaluate([(0.0, 0.0)]), lambda: state.marginal((0.0, 0.0)),
+                lambda: state.accept((0.0, 0.0)), lambda: f.agent_values([])):
+        with pytest.raises(ValueError, match="normalizer is 0"):
+            ask()
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            kmedians_oracle([(0.0, 0.0)], [(3.0, 4.0)], normalizer=bad)
+    with pytest.raises(ValueError, match="finite"):
+        kmedians_oracle([(0.0, np.inf)], [(3.0, 4.0)])
+    with pytest.raises(ValueError, match="finite"):
+        kmedians_oracle([(0.0, 0.0)], [(np.nan, 4.0)])
+
+
+def test_kmedians_normalizer_slack_caps_distances():
+    # G may sit up to 1e-9 below the largest distance; distances are capped
+    # at G, so utilities stay in [0, 1] and the far client counts as unserved.
+    f = kmedians_oracle([(0.0, 0.0), (3.0, 4.0)], [(3.0, 4.0)], normalizer=7.0 - 5e-10)
+    assert f.agent_values([(3.0, 4.0)]).tolist() == [0.0, 1.0]
+    assert f.clustering_cost([(3.0, 4.0)]) == f.normalizer
+
+
+def _state_value_is_exact(f, picks):
+    state = f.make_state()
+    for e in picks:
+        state.marginal(e)
+        state.accept(e)
+        assert state.value == f.evaluate(state.selected)
+    assert state.selected == list(picks)
+
+
+point = st.tuples(st.integers(0, 6), st.integers(0, 6)).map(lambda p: (p[0] * 0.7, p[1] * 1.3))
+
+
+@given(
+    clients=st.lists(point, min_size=1, max_size=12),
+    candidates=st.lists(point, min_size=1, max_size=6, unique=True),
+    slack=st.sampled_from([None, 0.0, 2e-10, 9e-10]),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_kmedians_state_value_equals_evaluate(clients, candidates, slack, data):
+    arr_c, arr_v = np.asarray(clients), np.asarray(candidates)
+    far = float(np.abs(arr_c[:, None, :] - arr_v[None, :, :]).sum(axis=2).max())
+    if far == 0.0:
+        return  # every point coincides: see test_kmedians_degenerate_normalizer
+    normalizer = None if slack is None else far - slack  # None: bounding-box default
+    f = kmedians_oracle(clients, candidates, normalizer)
+    picks = data.draw(st.lists(st.sampled_from(f.candidates), max_size=10))  # repeats allowed
+    _state_value_is_exact(f, picks)
+
+
+@given(records=st.lists(st.integers(0, 5), min_size=1, max_size=20),
+       picks=st.lists(st.integers(0, 7), max_size=12))
+@settings(max_examples=150)
+def test_coverage_state_value_equals_evaluate(records, picks):
+    _state_value_is_exact(coverage_oracle(records), picks)
+
+
+@given(weights=st.lists(st.floats(0, 1e6), min_size=1, max_size=8),
+       picks=st.lists(st.integers(0, 7), max_size=12))
+@example(weights=[0.1, 1.1, 0.3], picks=[0, 2, 1])  # a running sum of gains drifts here
+@settings(max_examples=150)
+def test_generic_state_value_equals_evaluate(weights, picks):
+    f = ModularObjective(dict(enumerate(weights)))
+    _state_value_is_exact(f, [p % len(weights) for p in picks])
 
 
 def test_kmedians_cost_identity():
