@@ -45,9 +45,10 @@ def bounding_box_l1_diameter(points: np.ndarray) -> float:
 class _KMediansState(OracleState):
     # Owns a per-client nearest-distance vector; accept() tightens it in
     # place and reads the value off it, so marginals and accepts each cost
-    # one vectorized pass over the clients. A superset's distances are
-    # elementwise <= a subset's (min is exact), and subtraction, max and
-    # pairwise summation all keep that order, so gains never grow.
+    # one vectorized pass over the clients, in the oracle's buffers.
+    # A superset's distances are elementwise <= a subset's (min is exact),
+    # and subtraction, max and pairwise summation all keep that order, so
+    # gains never grow and never exceed the empty state's.
     exact_diminishing_returns = True
 
     def __init__(self, oracle):
@@ -57,14 +58,28 @@ class _KMediansState(OracleState):
     def marginal(self, e) -> float:
         if e in self._selected_set:
             return 0.0
-        col = self.oracle._column(e)
-        return float(np.maximum(self._dmin - col, 0.0).sum() / self.oracle.normalizer)
+        if self.selected:
+            return self._gain(e)
+        # Every empty state answers the same gain, so the oracle keeps it.
+        gains = self.oracle._empty_gains
+        gain = gains.get(e)
+        if gain is None:
+            gain = gains[e] = self._gain(e)
+        return gain
+
+    def _gain(self, e) -> float:
+        oracle = self.oracle
+        buf = oracle._scratch
+        np.subtract(self._dmin, oracle._shared_column(e), out=buf)
+        np.maximum(buf, 0.0, out=buf)
+        return float(buf.sum() / oracle.normalizer)
 
     def accept(self, e) -> None:
-        np.minimum(self._dmin, self.oracle._column(e), out=self._dmin)
+        oracle = self.oracle
+        np.minimum(self._dmin, oracle._shared_column(e), out=self._dmin)
         self.selected.append(e)
         self._selected_set.add(e)
-        self.value = float(self.oracle.num_agents - self._dmin.sum() / self.oracle.normalizer)
+        self.value = float(oracle.num_agents - self._dmin.sum() / oracle.normalizer)
 
 
 class KMediansObjective(DecomposableObjective):
@@ -104,7 +119,14 @@ class KMediansObjective(DecomposableObjective):
                 f"distance {required}; per-agent utilities would leave [0, 1]"
             )
         self.normalizer = float(normalizer)
-        self._columns: dict = {}
+        # d(p, e) = |px - ex| + |py - ey| is assembled from per-coordinate
+        # vectors, so a g x g grid keeps 2g vectors rather than g^2 columns.
+        self._xcols: dict = {}
+        self._ycols: dict = {}
+        self._empty_gains: dict = {}
+        self._scratch = np.empty(len(clients))
+        self._last_column = np.empty(len(clients))
+        self._last_element = None
 
     def _require_positive_normalizer(self) -> None:
         # Checked where a value is first computed, not in __init__, so a
@@ -115,13 +137,30 @@ class KMediansObjective(DecomposableObjective):
                 "every utility 1 - d/G would be 0/0"
             )
 
-    def _column(self, e) -> np.ndarray:
-        col = self._columns.get(e)
-        if col is None:
-            self._require_positive_normalizer()
-            col = np.abs(self.clients - np.asarray(e, dtype=float)).sum(axis=1)
-            self._columns[e] = col
-        return col
+    def _column(self, e, out=None) -> np.ndarray:
+        # Bit-identical to np.abs(clients - e).sum(axis=1): the same two
+        # absolute differences, added once.
+        ex, ey = e
+        dx = self._xcols.get(ex)
+        if dx is None:
+            dx = self._xcols[ex] = self._coordinate_distances(0, ex)
+        dy = self._ycols.get(ey)
+        if dy is None:
+            dy = self._ycols[ey] = self._coordinate_distances(1, ey)
+        return np.add(dx, dy, out=out)
+
+    def _shared_column(self, e) -> np.ndarray:
+        # The states' column buffer keeps the element asked for last: the
+        # threshold ladders ask several states about one element in a row,
+        # and accept it right after its marginal.
+        if e != self._last_element:
+            self._column(e, out=self._last_column)
+            self._last_element = e
+        return self._last_column
+
+    def _coordinate_distances(self, axis: int, coordinate) -> np.ndarray:
+        self._require_positive_normalizer()
+        return np.abs(self.clients[:, axis] - float(coordinate))
 
     def _min_distances(self, S) -> np.ndarray:
         # Starts from d(p, empty) = G, as the incremental state does, so the

@@ -170,7 +170,7 @@ def threshold_stream_with_tail_fill(f: ObjectiveOracle, V, k: int, guesses) -> l
 class SparseInstance:
     """One noisy above-threshold instance with a Top-answer budget of k.
 
-    Answers Top when query + score_noise >= threshold + threshold_noise.
+    Answers Top when f(e|S) + score_noise >= threshold + threshold_noise.
     The threshold noise is redrawn after every Top (each of the up-to-k
     acceptances compares against an independent noisy threshold) and the
     instance halts permanently after the k-th Top.
@@ -188,31 +188,51 @@ class SparseInstance:
         self.halted = self.capacity <= 0
         self._alpha = threshold_noise.draw() if not self.halted else 0.0
 
-    def step(self, query_value: float) -> bool:
-        """Answer one query; True means Top. Halted instances always answer
-        Bottom without touching any noise stream."""
+    def step(self, state, e, cap: float | None) -> bool:
+        """Answer the query f(e|S) of ``state``; True means Top. Halted
+        instances always answer Bottom without touching any noise stream.
+
+        The noise is drawn first. When 0 <= f(e|S) <= cap holds exactly,
+        the answer is already fixed once beta >= bar (Top) or
+        cap + beta < bar (Bottom): float addition rounds monotonically, so
+        f(e|S) + beta lies between beta and cap + beta. Only the noisy bars
+        in between ask the state for its marginal; the answers, draws and
+        their order are those of checking every marginal.
+        """
         if self.halted:
             return False
         beta = self.score_noise.draw()
-        if query_value + beta >= self.threshold + self._alpha:
-            self.count += 1
-            if self.count >= self.capacity:
-                self.halted = True
-            else:
-                self._alpha = self.threshold_noise.draw()
-            return True
-        return False
+        bar = self.threshold + self._alpha
+        if beta < bar:
+            if cap is not None and cap + beta < bar:
+                return False
+            if state.marginal(e) + beta < bar:
+                return False
+        self.count += 1
+        if self.count >= self.capacity:
+            self.halted = True
+        else:
+            self._alpha = self.threshold_noise.draw()
+        return True
 
 
 def _scan(f: ObjectiveOracle, V, instances, n: int) -> tuple[list, int, int]:
     """Stream V once through the instances, each with a fresh oracle state
-    that accepts an element when its instance answers Top; halted instances
-    are skipped. Raises once V outgrows n. Returns (states, elements
-    streamed, marginal queries).
+    that accepts an element when its instance answers Top; an instance
+    leaves the scan once it halts. Raises once V outgrows n. Returns
+    (states, elements streamed, threshold checks).
+
+    When the states declare ``exact_diminishing_returns``, an empty probe
+    state's marginal bounds every check's f(e|S), so the checks get it as
+    ``cap``; it is asked once per element that reaches a live instance.
     """
     states = [f.make_state() for _ in instances]
-    pairs = list(zip(instances, states))
-    marginal_calls = 0
+    live = [(inst, state) for inst, state in zip(instances, states) if not inst.halted]
+    probe = f.make_state()
+    if not probe.exact_diminishing_returns:
+        probe = None
+    cap = None
+    checks = 0
     streamed = 0
     for e in V:
         streamed += 1
@@ -221,13 +241,19 @@ def _scan(f: ObjectiveOracle, V, instances, n: int) -> tuple[list, int, int]:
                 f"stream exceeds the declared n_bound of {n}; the lower "
                 "estimate E depends on it"
             )
-        for inst, state in pairs:
-            if inst.halted:
-                continue
-            marginal_calls += 1
-            if inst.step(state.marginal(e)):
+        if not live:
+            continue
+        if probe is not None:
+            cap = probe.marginal(e)
+        checks += len(live)
+        halted = False
+        for inst, state in live:
+            if inst.step(state, e, cap):
                 state.accept(e)
-    return states, streamed, marginal_calls
+                halted = halted or inst.halted
+        if halted:
+            live = [pair for pair in live if not pair[0].halted]
+    return states, streamed, checks
 
 
 @dataclass
@@ -272,6 +298,8 @@ class RunDiagnostics:
     chosen_index: int
     lower_estimate: float
     stream_length: int
+    # Threshold checks made (one per live rung and element), not oracle
+    # marginals: a check whose noise already decides it computes none.
     marginal_calls: int
     retained_total: int
     stream_passes: int = 1
@@ -353,7 +381,7 @@ def pssm(f: ObjectiveOracle, V, cfg: PssmConfig) -> tuple[list, RunDiagnostics]:
         )
         for i, guess in enumerate(ladder.guesses)
     ]
-    states, streamed, marginal_calls = _scan(f, V, instances, n)
+    states, streamed, checks = _scan(f, V, instances, n)
 
     values = tuple(state.value for state in states)
     candidates = [ScoredCandidate(i, v) for i, v in enumerate(values)]
@@ -371,7 +399,7 @@ def pssm(f: ObjectiveOracle, V, cfg: PssmConfig) -> tuple[list, RunDiagnostics]:
         chosen_index=chosen,
         lower_estimate=E,
         stream_length=streamed,
-        marginal_calls=marginal_calls,
+        marginal_calls=checks,
         retained_total=sum(len(state._selected_set) for state in states),
         budget=budget,
         eta=cfg.eta,

@@ -24,7 +24,10 @@ class OracleState:
     accept, so callers read a set's value off its state.
 
     ``exact_diminishing_returns`` declares that a state whose set contains
-    this one's never answers a larger marginal, exactly in floating point.
+    this one's never answers a larger marginal, exactly in floating point,
+    and that every marginal lies in [0, the empty state's marginal]
+    exactly. The private scan then decides most checks from the noise
+    alone.
     """
 
     exact_diminishing_returns = False

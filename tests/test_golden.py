@@ -2,14 +2,18 @@
 
 Every value below was produced by an earlier implementation (a separate
 uniform-stream object per source, a full seed mix per rung stream, and set
-values re-evaluated after the pass) and is checked bit for bit. A change
+values re-evaluated after the pass; the desk CSVs by one that computed every
+threshold check's marginal and cached a full k-medians column per element)
+and is checked bit for bit. A change
 that moves any of them changes results for fixed seeds and must say so.
 """
+import hashlib
 import warnings
 
 import pytest
 
 from privstream.accounting import PrivacyParams
+from privstream.experiment import ExperimentConfig, emit_csv, run_experiment
 from privstream.noise import GUMBEL, LAPLACE, NoiseSource, derive_seed, sample_gumbel, sample_laplace
 from privstream.objectives import coverage_oracle, kmedians_oracle
 from privstream.streaming import PssmConfig, pssm
@@ -110,6 +114,19 @@ REPEATED = {
     ('laplace', 7): ([0, 2], 1, (2.0, 5.0, 6.0, 3.0, 5.0), (2, 2, 3, 3, 3)),
 }
 
+# A reduced desk sweep (4 x 100 synthetic clients, a 10 x 10 grid, k in
+# {2, 5}, eps in {0.2, 0.9}, 2 repetitions, all four methods):
+# (master_seed, shuffle_stream) -> {CSV name: sha256 of its bytes}.
+DESK_CSVS = {
+    (3, True): {'golden_eps_2E-1.csv': '8b34ead99db104c8c7c32dbf5497278362c5e7f77aaca1f4033f69f28a7dab9e',
+                'golden_eps_9E-1.csv': 'a6c0d53d6e6c875115e2b30712ce2f2fa6fa6f64d626c301797814188b0766d5'},
+    (4, True): {'golden_eps_2E-1.csv': '227045678dfb34c6a77458bd3f99fe2d8c2eeb54b01bdd77fda92fdf588a48e4',
+                'golden_eps_9E-1.csv': '4a59fab7e153fc135a3dbc8f0bdf501eb81d93ceb7779e94cc9de4ee92c7ac23'},
+    (3, False): {'golden_eps_2E-1.csv': 'fa1bbd21ecdd914e31c147c88065401d343f6fa3d8a761f2103853c523e471df',
+                 'golden_eps_9E-1.csv': '691b6c9a93f73f81961f7dccd920b98fc06010d3ae32d9b16651baec3fa0c4db'},
+    (4, False): {'golden_eps_2E-1.csv': '681773ba4ea486aea0504a866c1098e811be4ff49e1066e4f88eae2797eda559',
+                 'golden_eps_9E-1.csv': '01e84a1f504219d06418bc1584e381accb1dd365df963aa002addee504f59a3c'},
+}
 
 KMEDIANS_CLIENTS = [((i * 37) % 11 * 0.5, (i * 53) % 7 * 0.75) for i in range(20)]
 KMEDIANS_GRID = [(x * 1.0, y * 1.0) for x in range(4) for y in range(3)]
@@ -192,3 +209,13 @@ def test_pssm_repeated_stream_elements_are_frozen(key):
               epsilon=0.8, delta=1e-3, composition="basic", noise_kind=kind, m_bound=6.0,
               master_seed=master_seed)
     assert got == REPEATED[key]
+
+
+@pytest.mark.parametrize("key", list(DESK_CSVS))
+def test_desk_csvs_are_frozen(key, tmp_path):
+    master_seed, shuffle = key
+    cfg = ExperimentConfig(components=4, points_per_component=100, box_side=20.0, grid_side=10,
+                           k_values=(2, 5), epsilon_values=(0.2, 0.9), repetitions=2,
+                           master_seed=master_seed, shuffle_stream=shuffle)
+    paths = emit_csv(run_experiment(cfg), tmp_path, "golden_")
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths} == DESK_CSVS[key]

@@ -73,6 +73,46 @@ def test_kmedians_normalizer_slack_caps_distances():
     assert f.clustering_cost([(3.0, 4.0)]) == f.normalizer
 
 
+coordinate = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+@given(
+    clients=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=30),
+    candidates=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=8),
+)
+@example(clients=[(-1.5, 2.25), (0.1, -0.3), (-1.5, 2.25)],
+         candidates=[(-1.5, -0.3), (0.1, 2.25), (-1.5, -0.3), (1e-3, -7.0)])
+@settings(max_examples=150, deadline=None)
+def test_kmedians_column_is_bit_identical(clients, candidates):
+    # Non-grid, negative and repeated coordinates: the per-coordinate column
+    # is the full column, and a state's marginal the full-column formula.
+    arr = np.asarray(clients, dtype=float)
+    f = kmedians_oracle(arr, candidates, normalizer=5e3)
+    state = f.make_state()
+    for e in candidates + candidates[::-1]:
+        full = np.abs(arr - np.asarray(e, dtype=float)).sum(axis=1)
+        assert f._column(e).tobytes() == full.tobytes()
+        gain = float(np.maximum(state._dmin - full, 0.0).sum() / f.normalizer)
+        assert state.marginal(e) == gain
+        if len(state) < 3:
+            state.accept(e)
+
+
+def test_kmedians_grid_caches_two_vectors_per_side():
+    rng = np.random.default_rng(18)
+    g = 7
+    grid = [(x * 1.5, -3.0 + y * 0.5) for x in range(g) for y in range(g)]
+    f = kmedians_oracle(rng.uniform(-4, 10, size=(40, 2)), grid)
+    state = f.make_state()
+    for e in grid:
+        for x in grid:
+            state.marginal(x)
+        state.accept(e)
+    f.evaluate(grid)
+    assert len(f._xcols) == len(f._ycols) == g
+    assert len(f._empty_gains) == g * g
+
+
 def _state_value_is_exact(f, picks):
     state = f.make_state()
     for e in picks:

@@ -11,6 +11,7 @@ from privstream.objectives import coverage_oracle, kmedians_oracle
 from privstream.streaming import (
     PssmConfig,
     SparseInstance,
+    _scan,
     bounded_noise_utility_check,
     build_guess_ladder,
     pssm,
@@ -216,18 +217,32 @@ def test_ladder_validation():
     assert threshold_stream_with_tail_fill(f, [0, 1], 1, [1.0, 1.0]) == [[0], [0]]
 
 
+class ConstantMarginal:
+    """Oracle-state stub whose every marginal is one fixed query value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def marginal(self, e):
+        return self.value
+
+
+def query(inst, value):
+    return inst.step(ConstantMarginal(value), "e", None)
+
+
 def test_sparse_instance_zero_noise_trace():
     inst = SparseInstance(1.5, 2, zero_source(), zero_source())
-    answers = [inst.step(q) for q in [2.0, 1.0, 3.0]]
+    answers = [query(inst, q) for q in [2.0, 1.0, 3.0]]
     assert answers == [True, False, True]
     assert inst.halted and inst.count == 2
-    assert inst.step(100.0) is False  # halted: always Bottom
+    assert query(inst, 100.0) is False  # halted: always Bottom
 
 
 def test_sparse_instance_zero_capacity():
     inst = SparseInstance(1.5, 0, zero_source(), zero_source())
     assert inst.halted
-    assert inst.step(10.0) is False
+    assert query(inst, 10.0) is False
 
 
 def test_sparse_instance_boundary_symmetry():
@@ -242,8 +257,157 @@ def test_sparse_instance_boundary_symmetry():
             NoiseSource(LAPLACE, sigma, seed=(i, 0)),
             NoiseSource(LAPLACE, 2 * sigma, seed=(i, 1)),
         )
-        tops += inst.step(1.5)
+        tops += query(inst, 1.5)
     assert tops / n == pytest.approx(0.5, abs=0.01)
+
+
+class RecordedNoise:
+    """Noise source that records its draws; scripted values come first."""
+
+    def __init__(self, source, script=()):
+        self.source = source
+        self.script = list(script)
+        self.draws = []
+
+    def draw(self):
+        x = self.script.pop(0) if self.script else self.source.draw()
+        self.draws.append(x)
+        return x
+
+
+def reference_scan(f, V, instances):
+    # The scan and step before noise-first checks: every live rung asks its
+    # state for f(e|S), then draws its score noise and compares.
+    states = [f.make_state() for _ in instances]
+    checks = 0
+    for e in V:
+        for inst, state in zip(instances, states):
+            if inst.halted:
+                continue
+            checks += 1
+            query_value = state.marginal(e)
+            beta = inst.score_noise.draw()
+            if query_value + beta >= inst.threshold + inst._alpha:
+                inst.count += 1
+                if inst.count >= inst.capacity:
+                    inst.halted = True
+                else:
+                    inst._alpha = inst.threshold_noise.draw()
+                state.accept(e)
+    return states, checks
+
+
+def make_rungs(kind, scale, seed, thresholds, k, scripts=None):
+    scripts = scripts or {}
+    return [
+        SparseInstance(
+            threshold, k,
+            RecordedNoise(NoiseSource(kind, scale, seed=(seed, i, 0)), scripts.get((i, 0), ())),
+            RecordedNoise(NoiseSource(kind, 2 * scale, seed=(seed, i, 1)), scripts.get((i, 1), ())),
+        )
+        for i, threshold in enumerate(thresholds)
+    ]
+
+
+def assert_scan_matches_reference(f, V, kind, scale, seed, thresholds, k, scripts=None):
+    new = make_rungs(kind, scale, seed, thresholds, k, scripts)
+    old = make_rungs(kind, scale, seed, thresholds, k, scripts)
+    states, streamed, checks = _scan(f, V, new, len(V))
+    ref_states, ref_checks = reference_scan(f, V, old)
+    assert (streamed, checks) == (len(V), ref_checks)
+    for a, b, state, ref in zip(new, old, states, ref_states):
+        assert state.selected == ref.selected
+        assert (a.count, a.halted) == (b.count, b.halted)
+        assert state.value == ref.value  # per_guess_values
+        assert a.threshold_noise.draws == b.threshold_noise.draws
+        assert a.score_noise.draws == b.score_noise.draws
+    return states
+
+
+def exactness_oracles(rng):
+    clients = rng.uniform(-8, 8, size=(60, 2))
+    candidates = [tuple(p) for p in rng.uniform(-8, 8, size=(12, 2))]
+    farthest = np.abs(clients[:, None, :] - np.array(candidates)).sum(axis=2).max()
+    # G inside the 1e-9 slack below the farthest distance caps some distances.
+    tight = kmedians_oracle(clients, candidates, normalizer=float(farthest) - 5e-10)
+    records = [int(r) for r in rng.integers(0, 8, size=40)]
+    weights = {i: float(w) for i, w in enumerate(rng.uniform(0, 1, size=10))}
+    return [
+        (kmedians_oracle(clients, candidates), candidates),
+        (tight, candidates),
+        (coverage_oracle(records), list(range(10))),
+        (ModularObjective(weights), list(weights)),
+    ]
+
+
+@pytest.mark.parametrize("kind", [LAPLACE, GUMBEL, ZERO_FOR_TEST])
+@pytest.mark.parametrize("oracle_index", range(4))
+def test_noise_first_scan_matches_reference(kind, oracle_index):
+    # Noise from far below to far above the gains, thresholds across them,
+    # streams with repeated elements, capacities 1-4.
+    for trial in range(12):
+        rng = np.random.default_rng([oracle_index, trial])
+        f, domain = exactness_oracles(rng)[oracle_index]
+        V = [domain[i] for i in rng.integers(0, len(domain), size=25)]
+        top = max(f.make_state().marginal(e) for e in domain)
+        thresholds = sorted(rng.uniform(0.0, 1.2 * top, size=6))
+        scale = 0.0 if kind == ZERO_FOR_TEST else top * (0.02, 0.3, 3.0)[trial % 3]
+        assert_scan_matches_reference(f, V, kind, scale, trial, thresholds,
+                                      k=1 + trial % 4)
+
+
+def test_noise_first_scan_ties():
+    # beta == bar: Top without the marginal, and 0 + beta >= bar agrees.
+    # Then 0's gain 2 with beta = -1 stays below bar = 1.5 + 0.
+    f = coverage_oracle([0, 0, 1])
+    states = assert_scan_matches_reference(
+        f, [5, 0], ZERO_FOR_TEST, 0.0, 0, [1.5], 2,
+        scripts={(0, 0): [0.5, 0.0], (0, 1): [2.0, -1.0]})
+    assert states[0].selected == [5]
+    # cap + beta == bar: undecided, so the marginal decides. Element 0 has
+    # cap 2; bar = 1 + 0 and beta = -1 tie for the empty state (Top), and
+    # its repeat gains 0 < 2 (Bottom).
+    states = assert_scan_matches_reference(
+        f, [0, 0], ZERO_FOR_TEST, 0.0, 0, [1.0], 2,
+        scripts={(0, 1): [-1.0, -1.0]})
+    assert states[0].selected == [0]
+    # The same tie on k-medians floats: bar is cap + beta rounded.
+    rng = np.random.default_rng(3)
+    g = kmedians_oracle(rng.uniform(0, 5, size=(30, 2)),
+                        [tuple(p) for p in rng.uniform(0, 5, size=(4, 2))])
+    e = g.candidates[0]
+    cap = g.make_state().marginal(e)
+    beta = -0.3 * cap
+    states = assert_scan_matches_reference(
+        g, [e, g.candidates[1], e], ZERO_FOR_TEST, 0.0, 0, [cap + beta], 3,
+        scripts={(0, 1): [beta, beta, beta]})
+    assert states[0].selected[0] == e
+    # Without exact_diminishing_returns there is no cap: after 0.1, the
+    # evaluate-difference gain of 0.2 is (0.1 + 0.2) - 0.1 > 0.2, and a bar
+    # at that gain is Top although the empty-state gain 0.2 lies below it.
+    h = ModularObjective({"a": 0.1, "b": 0.2})
+    states = assert_scan_matches_reference(
+        h, ["a", "b"], ZERO_FOR_TEST, 0.0, 0, [(0.1 + 0.2) - 0.1], 2,
+        scripts={(0, 0): [0.0, 0.0], (0, 1): [1.0, 0.0]})
+    assert states[0].selected == ["a", "b"]
+
+
+def test_noise_first_pssm_skips_most_marginals():
+    rng = np.random.default_rng(14)
+    f = kmedians_oracle(rng.uniform(0, 20, size=(500, 2)),
+                        [tuple(p) for p in rng.uniform(0, 20, size=(150, 2))])
+    calls = [0]
+    base = type(f.make_state())
+
+    class CountingState(base):
+        def marginal(self, e):
+            calls[0] += 1
+            return super().marginal(e)
+
+    f.make_state = lambda: CountingState(f)
+    cfg = make_cfg(noise_kind=LAPLACE, k=5, m_bound=500.0, master_seed=3)
+    _, diag = pssm(f, f.candidates, cfg)
+    assert 0 < calls[0] < diag.marginal_calls
 
 
 def random_coverage_instance(rng, n_labels=15, n_records=40):
