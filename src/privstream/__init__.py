@@ -36,12 +36,9 @@ from .noise import (
     LAPLACE,
     ZERO_FOR_TEST,
     NoiseSource,
-    ScoredCandidate,
     derive_seed,
     gumbel_cdf,
     private_argmax,
-    sample_gumbel,
-    sample_laplace,
 )
 from .objectives import (
     CoverageObjective,
@@ -50,7 +47,6 @@ from .objectives import (
     coverage_oracle,
     generate_hard_instance,
     kmedians_oracle,
-    manhattan,
 )
 from .streaming import (
     GuessLadder,

@@ -11,7 +11,7 @@ from . import __version__
 from .accounting import PrivacyParams
 from .data import synth_mixture
 from .experiment import emit_csv, load_config, run_experiment
-from .noise import GUMBEL, NoiseSource, ScoredCandidate, private_argmax
+from .noise import GUMBEL, NoiseSource, private_argmax
 from .objectives import coverage_oracle, kmedians_oracle
 from .streaming import PssmConfig, build_guess_ladder, pssm, threshold_stream
 from .submodular import check_submodular_monotone, sensitivity_probe
@@ -80,9 +80,8 @@ def _cmd_check(_args) -> int:
     ks = float(np.max(np.maximum(np.abs(cdf - grid), np.abs(cdf - grid + 1 / len(draws)))))
     ok &= _check("gumbel sampler matches closed-form CDF", ks < 0.015, f"KS={ks:.4f}")
 
-    cands = [ScoredCandidate(0, 0.0), ScoredCandidate(1, math.log(3))]
-    sel = NoiseSource(GUMBEL, 1.0, seed=11)
-    wins = sum(private_argmax(cands, 2.0, 1.0, sel) for _ in range(40000)) / 40000
+    sel = NoiseSource(GUMBEL, 1.0, seed=11)  # 2*sens/eps at sens 1, eps 2
+    wins = sum(private_argmax([0.0, math.log(3)], sel) for _ in range(40000)) / 40000
     ok &= _check("private argmax hits exponential-mechanism rates",
                  abs(wins - 0.75) < 0.02, f"p1={wins:.3f}")
 

@@ -154,7 +154,6 @@ def _run_private(oracle, stream, cfg, method, k, epsilon, delta, seed):
     resource_ok = (
         diag.retained_total <= k * diag.num_guesses
         and diag.stream_length == len(stream)
-        and diag.stream_passes == 1
     )
     return selected, diag.retained_total, diag.marginal_calls, resource_ok
 

@@ -1,11 +1,14 @@
 """Laplace/Gumbel noise sources and private argmax selection.
 
-All samplers are inverse-CDF transforms of a seeded uniform stream, so a
-(kind, seed) pair fully determines the sample sequence. The uniform engine
-is a splitmix64 counter: the streaming algorithms spin up many short
-independent streams (two per guess instance per run), and unlike the stdlib
-Mersenne Twister this engine costs essentially nothing to construct while
-passing the distributional test battery in the suite.
+:meth:`NoiseSource.draw` is the one sampler: an inverse-CDF transform of a
+seeded uniform stream, so a (kind, seed) pair fully determines the sample
+sequence. The uniform engine is a splitmix64 counter: the streaming
+algorithms spin up many short independent streams (two per guess instance
+per run), and unlike the stdlib Mersenne Twister this engine costs
+essentially nothing to construct while passing the distributional test
+battery in the suite. The private selection is no separate sampler either:
+:func:`private_argmax` adds one draw of a Gumbel source of scale
+2*sens/(eps/2) to each rung's value (``pssm`` spends half its epsilon on it).
 
 Randomness here is statistical, not cryptographic, and no floating-point
 hardening (snapping etc.) is applied; see README for the caveats.
@@ -13,7 +16,6 @@ hardening (snapping etc.) is applied; see README for the caveats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 LAPLACE = "laplace"
 GUMBEL = "gumbel"
@@ -37,10 +39,13 @@ def derive_seed(*parts: int) -> int:
     pure function of (master_seed, instance_index, stream_tag), so results
     do not depend on scheduling order.
     """
-    x = 0x9E3779B97F4A7C15
+    return _mix(0x9E3779B97F4A7C15, parts)
+
+
+def _mix(x: int, parts) -> int:
+    # x < 2^64 and p & _MASK64 < 2^64, so their XOR needs no further mask.
     for p in parts:
-        x = (x ^ (int(p) & _MASK64)) & _MASK64
-        x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (int(p) & _MASK64)) * 0xBF58476D1CE4E5B9) & _MASK64
         x ^= x >> 27
         x = (x * 0x94D049BB133111EB) & _MASK64
         x ^= x >> 31
@@ -87,37 +92,19 @@ class NoiseSource:
             kind = self.kind if kind is None else kind
             scale = self.scale if scale is None else float(scale)
             _check_kind(kind, scale)
-        x = self.seed
-        for p in parts:
-            x = ((x ^ (int(p) & _MASK64)) * 0xBF58476D1CE4E5B9) & _MASK64
-            x ^= x >> 27
-            x = (x * 0x94D049BB133111EB) & _MASK64
-            x ^= x >> 31
         child = object.__new__(NoiseSource)
         child.kind = kind
         child.scale = scale
         child.location = self.location
-        child.seed = child._state = x
+        child.seed = child._state = _mix(self.seed, parts)
         return child
-
-    def uniform(self) -> float:
-        """One uniform draw clamped to the open interval (0, 1)."""
-        z = self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        u = ((z ^ (z >> 31)) >> 11) * 1.1102230246251565e-16  # top 53 bits * 2^-53
-        if u < _U_LO:
-            return _U_LO
-        if u > _U_HI:
-            return _U_HI
-        return u
 
     def draw(self) -> float:
         """One draw from the source's own distribution.
 
-        The counter step and the inverse CDF run inline: this is the engine's
-        hot path. It computes exactly what ``uniform`` followed by
-        :func:`sample_laplace` or :func:`sample_gumbel` computes.
+        One splitmix64 counter step gives a uniform u clamped into (0, 1);
+        the inverse CDF maps it to location - scale*ln(-ln u) (Gumbel) or
+        location - scale*sign(u - 1/2)*ln(1 - 2|u - 1/2|) (Laplace).
         """
         kind = self.kind
         if kind == ZERO_FOR_TEST:
@@ -145,31 +132,6 @@ def _check_kind(kind: str, scale: float) -> None:
         raise ValueError(f"scale must be positive, got {scale}")
 
 
-def sample_laplace(scale: float, source) -> float:
-    """Draw from the two-sided Laplace distribution with mean 0.
-
-    Inverse CDF: x = -scale * sign(u - 1/2) * ln(1 - 2|u - 1/2|).
-    """
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    if source.kind == ZERO_FOR_TEST:
-        return 0.0
-    u = source.uniform() - 0.5
-    if u >= 0:
-        return -scale * math.log(1.0 - 2.0 * u)
-    return scale * math.log(1.0 + 2.0 * u)
-
-
-def sample_gumbel(location: float, scale: float, source) -> float:
-    """Draw from the Gumbel distribution via x = location - scale*ln(-ln u)."""
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    if source.kind == ZERO_FOR_TEST:
-        return location
-    u = source.uniform()
-    return location - scale * math.log(-math.log(u))
-
-
 def gumbel_cdf(x: float, location: float = 0.0, scale: float = 1.0) -> float:
     """Gumbel CDF exp(-exp(-(x - location)/scale))."""
     if not scale > 0:
@@ -180,42 +142,23 @@ def gumbel_cdf(x: float, location: float = 0.0, scale: float = 1.0) -> float:
     return math.exp(-math.exp(-z))
 
 
-@dataclass(frozen=True)
-class ScoredCandidate:
-    """A selection-domain entry: public index plus private utility score."""
+def private_argmax(scores, source) -> int:
+    """Index of the largest ``score + source.draw()``, first wins on ties.
 
-    index: int
-    score: float
-
-
-def private_argmax(candidates, epsilon: float, sensitivity: float, source) -> int:
-    """Select a candidate index with exponential-mechanism probabilities.
-
-    Adds Gumbel(0, 2*sensitivity/epsilon) noise to every score and returns
-    the argmax. The induced selection distribution is exactly
-    exp(eps*q/(2*sens)) / sum(...), i.e. the exponential mechanism, without
-    ever exponentiating a large score. A ``zero`` source degenerates to the
-    exact argmax with first-wins tie-breaking. Non-finite scores are rejected.
+    With a Gumbel source of scale 2*sensitivity/epsilon this is the
+    exponential mechanism: index i wins with probability
+    exp(eps*q_i/(2*sens)) / sum(...), without ever exponentiating a large
+    score. A ``zero`` source gives the exact argmax. Empty or non-finite
+    scores are rejected.
     """
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("candidate set must be non-empty")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not sensitivity > 0:
-        raise ValueError(f"sensitivity must be positive, got {sensitivity}")
-
-    exact = source.kind == ZERO_FOR_TEST
-    scale = 2.0 * sensitivity / epsilon
-    best_index = candidates[0].index
-    best_value = -math.inf
-    for cand in candidates:
-        value = cand.score
-        if not math.isfinite(value):
-            raise ValueError(f"candidate {cand.index} has non-finite score {value}")
-        if not exact:
-            value += 0.0 - scale * _log(-_log(source.uniform()))  # sample_gumbel(0, scale)
+    scores = list(scores)
+    if not scores:
+        raise ValueError("scores must be non-empty")
+    best_index, best_value = 0, -math.inf
+    for i, q in enumerate(scores):
+        if not math.isfinite(q):
+            raise ValueError(f"scores must be finite, got {q} at index {i}")
+        value = q + source.draw()
         if value > best_value:
-            best_value = value
-            best_index = cand.index
+            best_index, best_value = i, value
     return best_index

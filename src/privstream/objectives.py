@@ -18,11 +18,6 @@ import numpy as np
 from .submodular import DecomposableObjective, OracleState
 
 
-def manhattan(a, b) -> float:
-    """L1 distance between two 2-D points."""
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-
 def _max_pairwise_l1(clients: np.ndarray, candidates: np.ndarray) -> float:
     # max_{p,v} |px-vx|+|py-vy| via the four sign corners of the l1 ball:
     # max over s in {-1,1}^2 of max_v(s.v) + max_p(-s.p); exact and O(n).

@@ -12,17 +12,11 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 from .accounting import BudgetSplit, PrivacyParams, split_budget
-from .noise import (
-    GUMBEL,
-    LAPLACE,
-    ZERO_FOR_TEST,
-    NoiseSource,
-    ScoredCandidate,
-    private_argmax,
-)
+from .noise import GUMBEL, LAPLACE, ZERO_FOR_TEST, NoiseSource, private_argmax
 from .submodular import ObjectiveOracle, brute_force_opt
 
 # (threshold, score) noise scales of a rung, as multiples of the calibrated
@@ -56,8 +50,8 @@ def build_guess_ladder(E: float, m: float, theta: float) -> GuessLadder:
     """
     if not 0 < theta < 1:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    if not E > 0 or not m > 0:
-        raise ValueError(f"E and m must be positive, got E={E}, m={m}")
+    if not (0 < E < math.inf and 0 < m < math.inf):
+        raise ValueError(f"E and m must be positive and finite, got E={E}, m={m}")
     if E >= m:
         return GuessLadder(E=E, m=m, theta=theta, guesses=(m,))
     guesses = []
@@ -278,7 +272,7 @@ class PssmConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
+        if not isinstance(self.k, numbers.Integral) or self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k}")
         if not 0 < self.theta < 1:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
@@ -302,7 +296,6 @@ class RunDiagnostics:
     # marginals: a check whose noise already decides it computes none.
     marginal_calls: int
     retained_total: int
-    stream_passes: int = 1
     budget: BudgetSplit | None = None
     eta: float | None = None
     reported_error_bound: float | None = None
@@ -384,12 +377,15 @@ def pssm(f: ObjectiveOracle, V, cfg: PssmConfig) -> tuple[list, RunDiagnostics]:
     states, streamed, checks = _scan(f, V, instances, n)
 
     values = tuple(state.value for state in states)
-    candidates = [ScoredCandidate(i, v) for i, v in enumerate(values)]
-    selection_kind = GUMBEL if private else ZERO_FOR_TEST
-    selection_source = threshold_root.spawn(T, 2, kind=selection_kind, scale=1.0)
+    # The exponential mechanism on half the budget: Gumbel(2*sens/(eps/2))
+    # noise on each value; a noiseless run's zero root spawns a zero source.
     selection_epsilon = epsilon / 2.0
-    chosen = private_argmax(candidates, selection_epsilon, f.sensitivity if private else 1.0,
-                            selection_source)
+    if private:
+        selection_source = threshold_root.spawn(
+            T, 2, kind=GUMBEL, scale=2.0 * f.sensitivity / selection_epsilon)
+    else:
+        selection_source = threshold_root.spawn(T, 2)
+    chosen = private_argmax(values, selection_source)
 
     sizes = tuple(inst.count for inst in instances)
     diagnostics = RunDiagnostics(

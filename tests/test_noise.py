@@ -5,30 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privstream.accounting import PrivacyParams
 from privstream.noise import (
     GUMBEL,
     LAPLACE,
     ZERO_FOR_TEST,
     NoiseSource,
-    ScoredCandidate,
     derive_seed,
     gumbel_cdf,
     private_argmax,
-    sample_gumbel,
-    sample_laplace,
 )
-
-
-class FixedUniform:
-    """Stub source producing one fixed uniform, for quantile pinning."""
-
-    kind = GUMBEL
-
-    def __init__(self, u):
-        self.u = u
-
-    def uniform(self):
-        return self.u
+from privstream.objectives import coverage_oracle
+from privstream.streaming import PssmConfig, pssm
 
 
 def ks_distance(samples, cdf):
@@ -42,16 +30,9 @@ def ks_distance(samples, cdf):
 
 def test_zero_source_is_silent():
     src = NoiseSource(ZERO_FOR_TEST, 0.0, seed=3)
-    assert sample_laplace(1.0, src) == 0.0
-    assert sample_gumbel(0.0, 1.0, src) == 0.0
-    assert sample_gumbel(2.5, 1.0, src) == 2.5
-    assert src.draw() == 0.0
-
-
-def test_gumbel_fixed_quantile_equals_location():
-    # u = 1/e puts the draw exactly at the location parameter.
-    x = sample_gumbel(2.5, 1.7, FixedUniform(1.0 / math.e))
-    assert x == pytest.approx(2.5, abs=1e-12)
+    assert [src.draw() for _ in range(3)] == [0.0, 0.0, 0.0]
+    assert NoiseSource(ZERO_FOR_TEST, 0.0, seed=3, location=2.5).draw() == 2.5
+    assert src.spawn(1, 2).draw() == 0.0
 
 
 def test_gumbel_cdf_closed_form():
@@ -76,10 +57,14 @@ def test_gumbel_cdf_is_a_cdf(x, shift, loc, scale):
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        sample_laplace(0.0, NoiseSource(LAPLACE, 1.0, seed=0))
-    with pytest.raises(ValueError):
-        sample_gumbel(0.0, -1.0, NoiseSource(GUMBEL, 1.0, seed=0))
+    with pytest.raises(ValueError, match="scale"):
+        NoiseSource(LAPLACE, 0.0, seed=0)
+    with pytest.raises(ValueError, match="scale"):
+        NoiseSource(GUMBEL, -1.0, seed=0)
+    with pytest.raises(ValueError, match="scale"):
+        NoiseSource(GUMBEL, math.nan, seed=0)
+    with pytest.raises(ValueError, match="scale"):
+        NoiseSource(LAPLACE, 1.0, seed=0).spawn(1, kind=GUMBEL, scale=0.0)
     with pytest.raises(ValueError):
         gumbel_cdf(0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
@@ -110,7 +95,7 @@ def test_laplace_moments_and_tail():
     scale = 3.0
     src = NoiseSource(LAPLACE, scale, seed=99)
     n = 200_000
-    draws = np.array([sample_laplace(scale, src) for _ in range(n)])
+    draws = np.array([src.draw() for _ in range(n)])
     assert abs(draws.mean()) < 0.01 * scale
     beta = 0.01
     cut = scale * math.log(1 / beta)
@@ -145,52 +130,77 @@ def test_gumbel_tail_bounds():
 
 def test_private_argmax_single_and_errors():
     src = NoiseSource(GUMBEL, 1.0, seed=0)
-    assert private_argmax([ScoredCandidate(9, -5.0)], 1.0, 1.0, src) == 9
-    with pytest.raises(ValueError):
-        private_argmax([], 1.0, 1.0, src)
-    with pytest.raises(ValueError):
-        private_argmax([ScoredCandidate(0, 0.0)], 0.0, 1.0, src)
-    with pytest.raises(ValueError):
-        private_argmax([ScoredCandidate(0, 0.0)], 1.0, 0.0, src)
-    nan_pair = [ScoredCandidate(0, math.nan), ScoredCandidate(1, math.nan)]
-    with pytest.raises(ValueError, match="non-finite"):
-        private_argmax(nan_pair, 1.0, 1.0, src)
-    with pytest.raises(ValueError, match="non-finite"):
-        private_argmax([ScoredCandidate(0, 1.0), ScoredCandidate(1, math.inf)], 1.0, 1.0,
-                       NoiseSource(ZERO_FOR_TEST, 0.0, seed=0))
+    assert private_argmax([-5.0], src) == 0
+    with pytest.raises(ValueError, match="non-empty"):
+        private_argmax([], src)
+    with pytest.raises(ValueError, match="finite"):
+        private_argmax([math.nan, math.nan], src)
+    with pytest.raises(ValueError, match="finite"):
+        private_argmax([1.0, math.inf], NoiseSource(ZERO_FOR_TEST, 0.0, seed=0))
 
 
 def test_private_argmax_zero_source_is_exact():
     src = NoiseSource(ZERO_FOR_TEST, 0.0, seed=0)
-    cands = [ScoredCandidate(0, 1.0), ScoredCandidate(1, 3.0), ScoredCandidate(2, 2.0)]
-    assert all(private_argmax(cands, 1.0, 1.0, src) == 1 for _ in range(10))
+    assert all(private_argmax([1.0, 3.0, 2.0], src) == 1 for _ in range(10))
+    assert private_argmax([2.0, 3.0, 3.0], src) == 1  # first wins on ties
 
 
 def test_private_argmax_two_point_probabilities():
-    # Scores {0, ln 3} at eps=2, sensitivity 1: odds exactly 1:3.
-    cands = [ScoredCandidate(0, 0.0), ScoredCandidate(1, math.log(3.0))]
+    # Scores {0, ln 3} at eps=2, sensitivity 1 (scale 2*sens/eps = 1): odds 1:3.
     src = NoiseSource(GUMBEL, 1.0, seed=17)
     n = 200_000
-    ones = sum(private_argmax(cands, 2.0, 1.0, src) for _ in range(n))
+    ones = sum(private_argmax([0.0, math.log(3.0)], src) for _ in range(n))
     assert ones / n == pytest.approx(0.75, abs=0.01)
 
 
 def test_private_argmax_symmetry():
-    cands = [ScoredCandidate(i, 4.2) for i in range(3)]
-    src = NoiseSource(GUMBEL, 1.0, seed=23)
+    src = NoiseSource(GUMBEL, 2.0, seed=23)
     n = 90_000
     counts = np.bincount(
-        [private_argmax(cands, 1.0, 1.0, src) for _ in range(n)], minlength=3
+        [private_argmax([4.2] * 3, src) for _ in range(n)], minlength=3
     )
     assert np.all(np.abs(counts / n - 1 / 3) < 0.01)
 
 
 def test_private_argmax_shift_invariance():
     # Same noise stream + shifted scores -> identical selections draw by draw.
-    cands = [ScoredCandidate(0, 0.3), ScoredCandidate(1, 1.1), ScoredCandidate(2, 0.9)]
-    shifted = [ScoredCandidate(c.index, c.score + 57.0) for c in cands]
-    a = NoiseSource(GUMBEL, 1.0, seed=31)
-    b = NoiseSource(GUMBEL, 1.0, seed=31)
-    picks_a = [private_argmax(cands, 0.7, 1.0, a) for _ in range(5000)]
-    picks_b = [private_argmax(shifted, 0.7, 1.0, b) for _ in range(5000)]
+    scores = [0.3, 1.1, 0.9]
+    shifted = [q + 57.0 for q in scores]
+    a = NoiseSource(GUMBEL, 2.0 / 0.7, seed=31)
+    b = NoiseSource(GUMBEL, 2.0 / 0.7, seed=31)
+    picks_a = [private_argmax(scores, a) for _ in range(5000)]
+    picks_b = [private_argmax(shifted, b) for _ in range(5000)]
     assert picks_a == picks_b
+
+
+def first_wins_argmax(scores, twin):
+    noisy = [q + twin.draw() for q in scores]
+    return noisy.index(max(noisy))
+
+
+def test_private_argmax_is_first_wins_argmax_of_draws():
+    rng = np.random.default_rng(4)
+    for seed in range(300):
+        # Few distinct integer scores, so noisy ties are possible at scale 0.
+        scores = [float(q) for q in rng.integers(0, 4, size=int(rng.integers(1, 8)))]
+        for kind, scale in ((GUMBEL, 1.7), (LAPLACE, 0.4), (ZERO_FOR_TEST, 0.0)):
+            src = NoiseSource(kind, scale, seed=seed)
+            twin = NoiseSource(kind, scale, seed=seed)
+            for _ in range(3):
+                assert private_argmax(scores, src) == first_wins_argmax(scores, twin)
+
+
+@pytest.mark.parametrize("kind", [LAPLACE, GUMBEL])
+@pytest.mark.parametrize("epsilon", [0.25, 0.5])
+def test_pssm_selection_draws_gumbel_of_scale_4_over_eps(kind, epsilon):
+    # pssm picks the rung with the largest value plus one draw of the
+    # Gumbel(2*sens/(eps/2)) stream (master_seed, T, 2), sens = 1.
+    rng = np.random.default_rng(8)
+    records = [int(r) for r in rng.integers(0, 6, size=40)]
+    f = coverage_oracle(records)
+    for master_seed in range(60):
+        cfg = PssmConfig(k=3, theta=0.2, privacy=PrivacyParams(epsilon, 1e-6), noise_kind=kind,
+                         m_bound=float(len(records)), n_bound=6, master_seed=master_seed)
+        _, diag = pssm(f, range(6), cfg)
+        twin = NoiseSource(GUMBEL, 4.0 / epsilon, seed=(master_seed, diag.num_guesses, 2))
+        assert diag.chosen_index == first_wins_argmax(diag.per_guess_values, twin)

@@ -8,7 +8,6 @@ from privstream.objectives import (
     coverage_oracle,
     generate_hard_instance,
     kmedians_oracle,
-    manhattan,
 )
 from privstream.submodular import (
     ModularObjective,
@@ -16,19 +15,6 @@ from privstream.submodular import (
     check_submodular_monotone,
     marginal_gain,
 )
-
-
-def test_manhattan_basics():
-    assert manhattan((0, 0), (3, 4)) == 7.0
-    assert manhattan((1.5, -2.0), (1.5, -2.0)) == 0.0
-
-
-@given(
-    ax=st.floats(-100, 100), ay=st.floats(-100, 100),
-    bx=st.floats(-100, 100), by=st.floats(-100, 100),
-)
-def test_manhattan_symmetry(ax, ay, bx, by):
-    assert manhattan((ax, ay), (bx, by)) == manhattan((bx, by), (ax, ay))
 
 
 def test_kmedians_hand_values():

@@ -54,6 +54,11 @@ def test_ladder_degenerate_and_validation():
         build_guess_ladder(1.0, 10.0, 0.0)
     with pytest.raises(ValueError):
         build_guess_ladder(0.0, 10.0, 0.5)
+    # m = inf used to overflow int(); E = inf used to collapse to {m}.
+    for E, m in ((1.0, math.inf), (math.inf, 10.0), (math.inf, math.inf),
+                 (math.nan, 10.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            build_guess_ladder(E, m, 0.5)
 
 
 @given(
@@ -471,6 +476,12 @@ def test_pssm_validation():
                  make_cfg(noise_kind=GUMBEL, k=2, n_bound=4))
     _, diag = pssm(coverage_oracle([0, 1, 2]), [0, 1, 2, 3], make_cfg(k=2, n_bound=4))
     assert diag.guesses[-1] == 3.0  # the noiseless kind keeps the agent count
+    for m_bound in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            pssm(cov, [1, 2, 3], make_cfg(noise_kind=LAPLACE, m_bound=m_bound))
+    for k in (2.5, 2.0, 0):
+        with pytest.raises(ValueError, match="k must"):
+            make_cfg(k=k)
 
 
 def test_pssm_single_pass_and_call_counts():
