@@ -84,6 +84,8 @@ def synth_mixture(
     """
     if num_components < 1 or points_per_component < 1:
         raise ValueError("component and point counts must be positive")
+    if not (math.isfinite(box_side) and box_side >= 0):
+        raise ValueError(f"box_side must be finite and non-negative, got {box_side}")
     means = rng.uniform(0.0, box_side, size=(num_components, 2))
     blocks = [
         mean + rng.standard_normal(size=(points_per_component, 2)) for mean in means

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .accounting import PrivacyParams
+from .accounting import ADVANCED, BASIC, PrivacyParams
 from .data import PointCloud, load_points_csv, make_grid, synth_mixture
 from .noise import GUMBEL, LAPLACE, derive_seed
 from .objectives import kmedians_oracle
@@ -73,8 +73,20 @@ class ExperimentConfig:
                 math.isfinite(eps) and eps > 0 for eps in self.epsilon_values):
             raise ValueError(f"epsilon_values must be a non-empty list of finite "
                              f"values > 0, got {self.epsilon_values}")
+        for name in ("k_values", "epsilon_values"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat a value, got {values}")
         if not 0 < self.theta < 1:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
+        if not 0 < self.eta < 1:
+            raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
+        if self.composition not in (BASIC, ADVANCED):
+            raise ValueError(f"unknown composition mode {self.composition!r}")
+        if self.delta is not None and not 0 < self.delta < 1:
+            raise ValueError(f"delta must be auto or lie in (0, 1), got {self.delta}")
+        if not self.methods:
+            raise ValueError("methods must name at least one method")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")
@@ -82,7 +94,12 @@ class ExperimentConfig:
 
 @dataclass
 class CellStats:
-    """Aggregated outcome of one (method, k, epsilon) cell."""
+    """Aggregated outcome of one (method, k, epsilon) cell.
+
+    ``wall_time_s`` is the cell's own time, except that the non-private
+    pass shared by every epsilon of a k (one per stream order) is timed in
+    the first epsilon cell of that k, which runs it.
+    """
 
     method: str
     k: int
@@ -158,23 +175,58 @@ def _run_private(oracle, stream, cfg, method, k, epsilon, delta, seed):
     return selected, diag.retained_total, diag.marginal_calls, resource_ok
 
 
-def _run_nonprivate(oracle, stream, cfg, k, epsilon, best_singleton):
-    # E additionally capped by the best singleton (max over the stream's
-    # elements) so the baseline's ladder has at least as many rungs as the
-    # private runs.
-    n = len(stream)
-    E = min(best_singleton, k * math.log(max(n, 2)) / epsilon, oracle.num_agents / 2.0)
-    ladder = build_guess_ladder(E, float(oracle.num_agents), cfg.theta)
-    best_set: list = []
-    best_value = -math.inf
-    retained = 0
-    for S in threshold_stream_with_tail_fill(oracle, stream, k, ladder.guesses):
-        retained += len(S)
-        value = oracle.evaluate(S)
-        if value > best_value:
-            best_value = value
-            best_set = S
-    return best_set, retained
+def _ladder_floor(k, epsilon, n, m):
+    # The private runs' lower estimate E for one (k, epsilon) cell.
+    return min(k * math.log(max(n, 2)) / epsilon, m / 2.0)
+
+
+def _best_singleton(oracle, stream, needed):
+    # The max singleton value only caps E where it lies below ``needed``, so
+    # the scan stops at the first singleton reaching it: min then returns
+    # the same float as with the full max.
+    best = None
+    for e in stream:
+        value = oracle.evaluate([e])
+        if best is None or value > best:
+            best = value
+        if best >= needed:
+            break
+    return best
+
+
+def _run_nonprivate(oracle, stream, cfg, k, best_singleton):
+    """Solve the non-private baseline of every epsilon for one stream order.
+
+    Each epsilon's ladder starts at E = min(best singleton, k ln n / eps,
+    m/2); the best-singleton cap gives it at least as many rungs as the
+    private runs. Epsilon moves only E, so one threshold pass over the
+    union of the ladders' guesses serves them all. Returns
+    ``{epsilon: (best set, retained)}``: each epsilon takes the argmax of
+    its own ladder's sets, first wins in ascending order, and counts their
+    sizes.
+    """
+    n, m = len(stream), float(oracle.num_agents)
+    ladders = {
+        epsilon: build_guess_ladder(min(best_singleton, _ladder_floor(k, epsilon, n, m)),
+                                    m, cfg.theta).guesses
+        for epsilon in cfg.epsilon_values
+    }
+    union = sorted({O for guesses in ladders.values() for O in guesses})
+    sets = dict(zip(union, threshold_stream_with_tail_fill(oracle, stream, k, union)))
+    solved = {}
+    for epsilon, guesses in ladders.items():
+        best_set: list = []
+        best_value = -math.inf
+        retained = 0
+        for O in guesses:
+            S = sets[O]
+            retained += len(S)
+            value = oracle.evaluate(S)
+            if value > best_value:
+                best_value = value
+                best_set = S
+        solved[epsilon] = (best_set, retained)
+    return solved
 
 
 def _run_random(stream, k, seed):
@@ -197,7 +249,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     report = RunReport(client_count=len(clients), grid_points=len(stream), delta=delta)
     # Every repetition streams the same elements, so one max serves them all.
     if "nonprivate" in cfg.methods:
-        best_singleton = max(oracle.evaluate([e]) for e in stream)
+        needed = max(_ladder_floor(k, epsilon, len(stream), oracle.num_agents)
+                     for k in cfg.k_values for epsilon in cfg.epsilon_values)
+        best_singleton = _best_singleton(oracle, stream, needed)
+    # (k, stream order) -> {epsilon: (set, retained)} of the non-private pass.
+    nonprivate = {}
     for method in METHODS:
         if method not in cfg.methods:
             continue
@@ -209,18 +265,19 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                 costs = []
                 retained = []
                 calls = []
-                solved = None
                 try:
                     for rep in range(cfg.repetitions):
                         rep_stream = _stream_for_rep(cfg, stream, rep)
                         seed = derive_seed(cfg.master_seed, method_idx, k_idx, eps_idx, rep)
                         if method == "nonprivate":
-                            # Deterministic given data and order: without
-                            # shuffling, every repetition reuses one solve.
-                            if solved is None or cfg.shuffle_stream:
-                                solved = _run_nonprivate(oracle, rep_stream, cfg, k, epsilon,
-                                                         best_singleton)
-                            S, kept = solved
+                            # Deterministic given data and order: one pass
+                            # per stream order serves every epsilon, and
+                            # without shuffling every repetition too.
+                            order = (k, rep if cfg.shuffle_stream else 0)
+                            if order not in nonprivate:
+                                nonprivate[order] = _run_nonprivate(
+                                    oracle, rep_stream, cfg, k, best_singleton)
+                            S, kept = nonprivate[order][epsilon]
                             ncalls = 0
                         elif method == "random":
                             S = _run_random(rep_stream, k, seed)

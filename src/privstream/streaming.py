@@ -124,25 +124,30 @@ def threshold_stream_with_tail_fill(f: ObjectiveOracle, V, k: int, guesses) -> l
         if not active:
             break
         left = len(V) - i
-        ruled_out = []  # (gain bound, selected set) of groups that rejected e
+        # (gain bound, selected set) of groups that rejected e; filled only
+        # when skip holds.
+        ruled_out = []
         groups = []
         for lo, hi, state in active:
-            if left <= k - len(state):
+            if left <= k - len(state.selected):
                 if e not in state._selected_set:
                     state.accept(e)
                 groups.append((lo, hi, state))  # full only once V is spent
                 continue
             bound = None
-            if skip:
-                bound = next((g for g, sub in reversed(ruled_out)
-                              if g < bars[lo] and sub <= state._selected_set), None)
+            if ruled_out:
+                for g, sub in reversed(ruled_out):
+                    if g < bars[lo] and sub <= state._selected_set:
+                        bound = g
+                        break
             if bound is None:
                 gain = state.marginal(e)
                 split = bisect.bisect_right(bars, gain, lo, hi)
             else:
                 gain, split = bound, lo
             if split == lo:
-                ruled_out.append((gain, state._selected_set))
+                if skip:
+                    ruled_out.append((gain, state._selected_set))
                 groups.append((lo, hi, state))
                 continue
             if split < hi:
@@ -152,7 +157,7 @@ def threshold_stream_with_tail_fill(f: ObjectiveOracle, V, k: int, guesses) -> l
                     accepted.accept(x)
                 state = accepted
             state.accept(e)
-            (full if len(state) >= k else groups).append((lo, split, state))
+            (full if len(state.selected) >= k else groups).append((lo, split, state))
         active = groups
     sets: list = [None] * len(bars)
     for lo, hi, state in full + active:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,12 @@ def test_synth_mixture_counts_and_determinism():
     b = synth_mixture(5, 40, 20.0, np.random.default_rng(3))
     assert len(a) == 200
     assert np.array_equal(a.points, b.points)
+
+
+@pytest.mark.parametrize("box_side", [math.inf, -math.inf, math.nan, -1.0])
+def test_synth_mixture_rejects_bad_box_side(box_side):
+    with pytest.raises(ValueError, match="box_side"):
+        synth_mixture(2, 10, box_side, np.random.default_rng(0))
 
 
 def test_synth_mixture_single_component_clt():

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privstream.experiment import (
     CSV_HEADER,
     ExperimentConfig,
+    _best_singleton,
     _run_nonprivate,
     emit_csv,
     format_eps,
@@ -16,6 +19,7 @@ from privstream.experiment import (
     run_experiment,
 )
 from privstream.objectives import kmedians_oracle
+from privstream.streaming import build_guess_ladder, threshold_stream_with_tail_fill
 from privstream.submodular import brute_force_opt
 
 TINY = dict(
@@ -129,6 +133,24 @@ def test_config_validation():
     for epsilon_values in ((), (math.nan,), (0.0,), (-1.0,), (math.inf,), (1.0, math.nan)):
         with pytest.raises(ValueError, match="epsilon_values"):
             ExperimentConfig(epsilon_values=epsilon_values)
+    # A repeated value would run its cells twice; the CSVs show one of them.
+    with pytest.raises(ValueError, match="k_values"):
+        ExperimentConfig(k_values=(5, 10, 5))
+    with pytest.raises(ValueError, match="epsilon_values"):
+        ExperimentConfig(epsilon_values=(0.5, 0.5))
+    with pytest.raises(ValueError, match="methods"):
+        ExperimentConfig(methods=())
+    # Out-of-contract privacy inputs fail at construction, not in every
+    # private cell.
+    for eta in (0.0, 1.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="eta"):
+            ExperimentConfig(eta=eta)
+    with pytest.raises(ValueError, match="composition"):
+        ExperimentConfig(composition="sequential")
+    for delta in (0.0, 1.0, -1e-6, 2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta"):
+            ExperimentConfig(delta=delta)
+    assert ExperimentConfig(delta=None, composition="advanced", eta=0.5).delta is None
 
 
 def test_tiny_sweep_structure():
@@ -178,10 +200,90 @@ def test_nonprivate_approximation_on_small_instance():
     oracle = kmedians_oracle(clients, candidates)
     cfg = ExperimentConfig(k_values=(3,), epsilon_values=(0.5,), theta=0.2)
     best_singleton = max(oracle.evaluate([e]) for e in candidates)
-    S, _ = _run_nonprivate(oracle, candidates, cfg, k=3, epsilon=0.5,
-                           best_singleton=best_singleton)
+    solved = _run_nonprivate(oracle, candidates, cfg, k=3, best_singleton=best_singleton)
+    assert list(solved) == [0.5]
+    S, _ = solved[0.5]
     _, opt = brute_force_opt(oracle, candidates, 3)
     assert oracle.evaluate(S) >= (1 - cfg.theta) / 2 * opt
+
+
+def per_eps_nonprivate(oracle, stream, theta, k, epsilon, best_singleton):
+    # The non-private solve of one epsilon as a separate pass over its own
+    # ladder: the reference the merged pass must reproduce.
+    n = len(stream)
+    E = min(best_singleton, k * math.log(max(n, 2)) / epsilon, oracle.num_agents / 2.0)
+    ladder = build_guess_ladder(E, float(oracle.num_agents), theta)
+    best_set: list = []
+    best_value = -math.inf
+    retained = 0
+    for S in threshold_stream_with_tail_fill(oracle, stream, k, ladder.guesses):
+        retained += len(S)
+        value = oracle.evaluate(S)
+        if value > best_value:
+            best_value = value
+            best_set = S
+    return best_set, retained
+
+
+def small_kmedians(seed, clients, candidates, far):
+    # With far=True the candidates sit away from the clients, so the best
+    # singleton lies below m/2 and caps the ladder for small epsilon.
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(0, 10, size=(clients, 2))
+    stream = [tuple(p) for p in rng.uniform(0, 10, size=(candidates, 2)) + (30.0 if far else 0.0)]
+    oracle = kmedians_oracle(points, stream)
+    return oracle, stream, max(oracle.evaluate([e]) for e in stream)
+
+
+def assert_merged_matches_per_eps(oracle, stream, best_singleton, k, epsilons, theta):
+    cfg = ExperimentConfig(k_values=(k,), epsilon_values=tuple(epsilons), theta=theta)
+    solved = _run_nonprivate(oracle, stream, cfg, k, best_singleton)
+    assert list(solved) == list(epsilons)
+    for epsilon in epsilons:
+        assert solved[epsilon] == per_eps_nonprivate(oracle, stream, theta, k, epsilon,
+                                                     best_singleton), epsilon
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    clients=st.integers(5, 40),
+    candidates=st.integers(2, 12),
+    far=st.booleans(),
+    k=st.integers(1, 4),
+    epsilons=st.lists(st.floats(0.01, 20.0), min_size=1, max_size=4, unique=True),
+    theta=st.sampled_from([0.1, 0.2, 0.5, 0.9]),
+)
+@settings(max_examples=60, deadline=None)
+def test_merged_nonprivate_pass_matches_per_eps_passes(seed, clients, candidates, far, k,
+                                                       epsilons, theta):
+    oracle, stream, best_singleton = small_kmedians(seed, clients, candidates, far)
+    assert_merged_matches_per_eps(oracle, stream, best_singleton, k, epsilons, theta)
+
+
+def test_merged_nonprivate_pass_covers_each_ladder_end():
+    # E = min(best singleton, k ln n / eps, m/2); each term binds for one of
+    # the epsilons below, which are given unsorted.
+    oracle, stream, best_singleton = small_kmedians(5, 30, 8, far=True)
+    k, n, m = 2, len(stream), oracle.num_agents
+    assert best_singleton < m / 2.0
+    capped = k * math.log(n) / (2.0 * best_singleton)  # E = best singleton
+    halved = k * math.log(n) / (0.5 * best_singleton)  # E = k ln n / eps
+    assert_merged_matches_per_eps(oracle, stream, best_singleton, k, [halved, 20.0, capped], 0.2)
+    # Near clients the best singleton exceeds m/2, so a small epsilon's
+    # ladder shrinks to its shortest form, {m/2, ..., m}.
+    oracle, stream, best_singleton = small_kmedians(5, 30, 8, far=False)
+    assert best_singleton >= oracle.num_agents / 2.0
+    assert_merged_matches_per_eps(oracle, stream, best_singleton, k, [1.0, 1e-6], 0.9)
+
+
+def test_best_singleton_stops_once_no_cap_can_bind():
+    oracle, stream, best = small_kmedians(3, 30, 12, far=False)
+    values = [oracle.evaluate([e]) for e in stream]
+    assert _best_singleton(oracle, stream, math.inf) == best
+    for needed in sorted(values) + [best / 2.0]:
+        early = _best_singleton(oracle, stream, needed)
+        for floor in (needed, needed / 3.0):
+            assert min(early, floor) == min(best, floor)
 
 
 def test_emit_and_read_back(tmp_path):
