@@ -37,23 +37,18 @@ from .noise import (
     ZERO_FOR_TEST,
     NoiseSource,
     derive_seed,
-    gumbel_cdf,
     private_argmax,
 )
 from .objectives import (
     CoverageObjective,
-    HardCoverageInstance,
     KMediansObjective,
     coverage_oracle,
-    generate_hard_instance,
     kmedians_oracle,
 )
 from .streaming import (
-    GuessLadder,
     PssmConfig,
     RunDiagnostics,
     SparseInstance,
-    bounded_noise_utility_check,
     build_guess_ladder,
     pssm,
     threshold_stream,

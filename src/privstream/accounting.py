@@ -135,7 +135,6 @@ class BudgetSplit:
     per_guess_epsilon: float
     per_guess_delta: float
     selection_epsilon: float
-    num_guesses: int
     laplace_scale: float | None = None
     gumbel_scale: float | None = None
 
@@ -170,7 +169,6 @@ def split_budget(params: PrivacyParams, T: int, noise_kind: str, k: int | None =
         per_guess_epsilon=eps_per,
         per_guess_delta=delta_per,
         selection_epsilon=params.epsilon / 2.0,
-        num_guesses=T,
         laplace_scale=sigma,
         gumbel_scale=gamma,
     )

@@ -67,10 +67,10 @@ def _cmd_check(_args) -> int:
     rng = np.random.default_rng(20240)
     ok = True
 
-    ladder = build_guess_ladder(1.0, 123.0, 0.3)
+    guesses = build_guess_ladder(1.0, 123.0, 0.3)
     xs = rng.uniform(1.0, 123.0, size=2000)
-    covered = all(any(x <= g <= (1 + 0.3) * x + 1e-9 for g in ladder.guesses) for x in xs)
-    ok &= _check("guess ladder covers [E, m]", covered, f"T={ladder.T}")
+    covered = all(any(x <= g <= (1 + 0.3) * x + 1e-9 for g in guesses) for x in xs)
+    ok &= _check("guess ladder covers [E, m]", covered, f"T={len(guesses)}")
 
     src = NoiseSource(GUMBEL, 1.0, seed=7)
     draws = np.array([src.draw() for _ in range(20000)])

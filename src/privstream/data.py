@@ -46,6 +46,8 @@ def load_points_csv(path, x_column: str, y_column: str, max_rows: int | None = N
     Malformed rows (missing, non-numeric or non-finite coordinates) are
     skipped and counted; ``max_rows`` caps the number of valid rows kept.
     """
+    if max_rows is not None and max_rows < 1:
+        raise ValueError(f"max_rows must be at least 1, got {max_rows}")
     points = []
     skipped = 0
     with open(path, newline="", encoding="utf-8") as handle:

@@ -22,6 +22,7 @@ from .objectives import kmedians_oracle
 from .streaming import (
     PssmConfig,
     build_guess_ladder,
+    ladder_floor,
     pssm,
     threshold_stream_with_tail_fill,
 )
@@ -65,6 +66,8 @@ class ExperimentConfig:
             raise ValueError("csv dataset requires csv_path")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
+        if self.max_rows is not None and self.max_rows < 1:
+            raise ValueError(f"max_rows must be auto or at least 1, got {self.max_rows}")
         if not self.k_values or not all(
                 isinstance(k, numbers.Integral) and k >= 1 for k in self.k_values):
             raise ValueError(f"k_values must be a non-empty list of integers >= 1, "
@@ -96,9 +99,9 @@ class ExperimentConfig:
 class CellStats:
     """Aggregated outcome of one (method, k, epsilon) cell.
 
-    ``wall_time_s`` is the cell's own time, except that the non-private
-    pass shared by every epsilon of a k (one per stream order) is timed in
-    the first epsilon cell of that k, which runs it.
+    ``wall_time_s`` is the cell's own time, except that the first
+    non-private cell to need them also times the sweep's best-singleton
+    scan and each stream order's pass shared by every epsilon of its k.
     """
 
     method: str
@@ -107,7 +110,6 @@ class CellStats:
     mean_cost: float = math.nan
     std_cost: float = math.nan
     mean_retained: float = 0.0
-    mean_marginal_calls: float = 0.0
     wall_time_s: float = 0.0
     n_seeds: int = 0
     resource_ok: bool = True
@@ -172,12 +174,7 @@ def _run_private(oracle, stream, cfg, method, k, epsilon, delta, seed):
         diag.retained_total <= k * diag.num_guesses
         and diag.stream_length == len(stream)
     )
-    return selected, diag.retained_total, diag.marginal_calls, resource_ok
-
-
-def _ladder_floor(k, epsilon, n, m):
-    # The private runs' lower estimate E for one (k, epsilon) cell.
-    return min(k * math.log(max(n, 2)) / epsilon, m / 2.0)
+    return selected, diag.retained_total, resource_ok
 
 
 def _best_singleton(oracle, stream, needed):
@@ -207,8 +204,8 @@ def _run_nonprivate(oracle, stream, cfg, k, best_singleton):
     """
     n, m = len(stream), float(oracle.num_agents)
     ladders = {
-        epsilon: build_guess_ladder(min(best_singleton, _ladder_floor(k, epsilon, n, m)),
-                                    m, cfg.theta).guesses
+        epsilon: build_guess_ladder(min(best_singleton, ladder_floor(k, epsilon, n, m)),
+                                    m, cfg.theta)
         for epsilon in cfg.epsilon_values
     }
     union = sorted({O for guesses in ladders.values() for O in guesses})
@@ -247,11 +244,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     oracle = kmedians_oracle(clients.points, stream)
 
     report = RunReport(client_count=len(clients), grid_points=len(stream), delta=delta)
-    # Every repetition streams the same elements, so one max serves them all.
-    if "nonprivate" in cfg.methods:
-        needed = max(_ladder_floor(k, epsilon, len(stream), oracle.num_agents)
-                     for k in cfg.k_values for epsilon in cfg.epsilon_values)
-        best_singleton = _best_singleton(oracle, stream, needed)
+    # Every repetition streams the same elements, so one best singleton serves
+    # the sweep; the first non-private cell finds it under its error isolation.
+    needed = max(ladder_floor(k, epsilon, len(stream), oracle.num_agents)
+                 for k in cfg.k_values for epsilon in cfg.epsilon_values)
+    best_singleton = None
     # (k, stream order) -> {epsilon: (set, retained)} of the non-private pass.
     nonprivate = {}
     for method in METHODS:
@@ -264,7 +261,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                 start = time.perf_counter()
                 costs = []
                 retained = []
-                calls = []
                 try:
                     for rep in range(cfg.repetitions):
                         rep_stream = _stream_for_rep(cfg, stream, rep)
@@ -275,22 +271,22 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                             # without shuffling every repetition too.
                             order = (k, rep if cfg.shuffle_stream else 0)
                             if order not in nonprivate:
+                                if best_singleton is None:
+                                    best_singleton = _best_singleton(oracle, stream, needed)
                                 nonprivate[order] = _run_nonprivate(
                                     oracle, rep_stream, cfg, k, best_singleton)
                             S, kept = nonprivate[order][epsilon]
-                            ncalls = 0
                         elif method == "random":
                             S = _run_random(rep_stream, k, seed)
-                            kept, ncalls = len(S), 0
+                            kept = len(S)
                         else:
-                            S, kept, ncalls, ok = _run_private(
+                            S, kept, ok = _run_private(
                                 oracle, rep_stream, cfg, method, k, epsilon,
                                 delta, seed,
                             )
                             cell.resource_ok = cell.resource_ok and ok
                         costs.append(oracle.clustering_cost(S))
                         retained.append(kept)
-                        calls.append(ncalls)
                 except Exception as exc:  # noqa: BLE001 - cell isolation
                     cell.error = f"{type(exc).__name__}: {exc}"
                 else:
@@ -300,7 +296,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                     else:
                         cell.std_cost = 0.0
                     cell.mean_retained = float(np.mean(retained))
-                    cell.mean_marginal_calls = float(np.mean(calls))
                     cell.n_seeds = len(costs)
                 cell.wall_time_s = time.perf_counter() - start
                 report.cells.append(cell)

@@ -53,11 +53,11 @@ def _mix(x: int, parts) -> int:
 
 
 class NoiseSource:
-    """A seeded scalar noise stream of a fixed kind, scale and location.
+    """A seeded scalar noise stream of a fixed kind and scale.
 
-    ``zero`` sources always return their location (0 by default); they exist
-    so the streaming algorithms can be exercised in their noiseless limit and
-    are rejected by every budget constructor that reports a privacy guarantee.
+    ``zero`` sources always return 0; they exist so the streaming algorithms
+    can be exercised in their noiseless limit and are rejected by every
+    budget constructor that reports a privacy guarantee.
 
     The uniform engine is a splitmix64 counter started at ``seed``, the
     :func:`derive_seed` mix of the constructor's seed parts. :meth:`spawn`
@@ -70,21 +70,20 @@ class NoiseSource:
     consumer index). The pure functions in this module are freely shareable.
     """
 
-    __slots__ = ("kind", "scale", "location", "seed", "_state")
+    __slots__ = ("kind", "scale", "seed", "_state")
 
-    def __init__(self, kind: str, scale: float, seed, location: float = 0.0):
+    def __init__(self, kind: str, scale: float, seed):
         _check_kind(kind, scale)
         self.kind = kind
         self.scale = float(scale)
-        self.location = float(location)
         self.seed = self._state = derive_seed(seed) if isinstance(seed, int) else derive_seed(*seed)
 
     def spawn(self, *parts: int, kind: str | None = None, scale: float | None = None) -> NoiseSource:
         """A fresh stream seeded with this source's seed parts plus ``parts``.
 
         Mixes only the new parts onto the stored seed (not the current
-        counter), and keeps this source's kind, scale and location unless
-        ``kind`` or ``scale`` is given.
+        counter), and keeps this source's kind and scale unless ``kind`` or
+        ``scale`` is given.
         """
         if kind is None and scale is None:
             kind, scale = self.kind, self.scale
@@ -95,7 +94,6 @@ class NoiseSource:
         child = object.__new__(NoiseSource)
         child.kind = kind
         child.scale = scale
-        child.location = self.location
         child.seed = child._state = _mix(self.seed, parts)
         return child
 
@@ -103,12 +101,12 @@ class NoiseSource:
         """One draw from the source's own distribution.
 
         One splitmix64 counter step gives a uniform u clamped into (0, 1);
-        the inverse CDF maps it to location - scale*ln(-ln u) (Gumbel) or
-        location - scale*sign(u - 1/2)*ln(1 - 2|u - 1/2|) (Laplace).
+        the inverse CDF maps it to -scale*ln(-ln u) (Gumbel) or
+        -scale*sign(u - 1/2)*ln(1 - 2|u - 1/2|) (Laplace).
         """
         kind = self.kind
         if kind == ZERO_FOR_TEST:
-            return self.location
+            return 0.0
         z = self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -118,11 +116,11 @@ class NoiseSource:
         elif u > _U_HI:
             u = _U_HI
         if kind == GUMBEL:
-            return self.location - self.scale * _log(-_log(u))
+            return -self.scale * _log(-_log(u))
         u -= 0.5
         if u >= 0:
-            return self.location + -self.scale * _log(1.0 - 2.0 * u)
-        return self.location + self.scale * _log(1.0 + 2.0 * u)
+            return -self.scale * _log(1.0 - 2.0 * u)
+        return self.scale * _log(1.0 + 2.0 * u)
 
 
 def _check_kind(kind: str, scale: float) -> None:
@@ -130,16 +128,6 @@ def _check_kind(kind: str, scale: float) -> None:
         raise ValueError(f"unknown noise kind {kind!r}")
     if kind != ZERO_FOR_TEST and not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
-
-
-def gumbel_cdf(x: float, location: float = 0.0, scale: float = 1.0) -> float:
-    """Gumbel CDF exp(-exp(-(x - location)/scale))."""
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    z = (x - location) / scale
-    if z < -700.0:  # exp(-z) would overflow; the CDF is 0 in double precision
-        return 0.0
-    return math.exp(-math.exp(-z))
 
 
 def private_argmax(scores, source) -> int:

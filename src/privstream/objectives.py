@@ -9,9 +9,7 @@ cost sum_p d(p, S) is equivalent to maximizing this objective.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -233,56 +231,3 @@ class CoverageObjective(DecomposableObjective):
 def coverage_oracle(records) -> CoverageObjective:
     """Build the multiset coverage objective (see CoverageObjective)."""
     return CoverageObjective(records)
-
-
-@dataclass(frozen=True)
-class HardCoverageInstance:
-    """A worst-case coverage data set: a hidden k-subset repeated L times.
-
-    The set family is all singletons of the universe, so the unique optimum
-    covers exactly the hidden subset and achieves k*L.
-    """
-
-    universe: tuple
-    target: tuple
-    multiplicity: int
-    dataset: tuple
-
-    @property
-    def opt_value(self) -> int:
-        return len(self.target) * self.multiplicity
-
-    def oracle(self) -> CoverageObjective:
-        return CoverageObjective(self.dataset)
-
-
-def generate_hard_instance(
-    universe_size: int, k: int, epsilon: float, delta: float, c: float, rng
-) -> HardCoverageInstance:
-    """Sample a hard coverage instance for privacy/utility trade-off probing.
-
-    The hidden target is a uniform k-subset of the universe and every target
-    element is repeated L = ceil(ln(c*(e^eps - 1)/delta) / (2*eps)) times.
-    Warns (does not fail) when the data set is smaller than the
-    k*(e^eps - 1)/delta regime the hardness argument assumes. Note the
-    hardness statement is sometimes quoted with e^eps and sometimes with
-    e^(2*eps) constants; this generator uses the chain-of-neighbors form
-    (2*eps exponent steps) throughout.
-    """
-    if not 1 <= k <= universe_size:
-        raise ValueError(f"need 1 <= k <= universe_size, got k={k}, |U|={universe_size}")
-    if not epsilon > 0 or not 0 < delta < 1 or not c > 0:
-        raise ValueError("require epsilon > 0, delta in (0, 1), c > 0")
-    multiplicity = max(1, math.ceil(math.log(c * math.expm1(epsilon) / delta) / (2 * epsilon)))
-    if k * multiplicity < k * math.expm1(epsilon) / delta:
-        warnings.warn(
-            f"instance size k*L = {k * multiplicity} is below the hardness "
-            f"regime k*(e^eps - 1)/delta = {k * math.expm1(epsilon) / delta:.1f}",
-            stacklevel=2,
-        )
-    universe = tuple(range(universe_size))
-    target = tuple(sorted(int(i) for i in rng.choice(universe_size, size=k, replace=False)))
-    dataset = tuple(e for e in target for _ in range(multiplicity))
-    return HardCoverageInstance(
-        universe=universe, target=target, multiplicity=multiplicity, dataset=dataset
-    )

@@ -17,33 +17,21 @@ from dataclasses import dataclass
 
 from .accounting import BudgetSplit, PrivacyParams, split_budget
 from .noise import GUMBEL, LAPLACE, ZERO_FOR_TEST, NoiseSource, private_argmax
-from .submodular import ObjectiveOracle, brute_force_opt
-
-# (threshold, score) noise scales of a rung, as multiples of the calibrated
-# per-instance scale: Lap(sigma) vs Lap(2 sigma), Gumbel(gamma) on both sides.
-_SCALE_MULTIPLIERS = {LAPLACE: (1.0, 2.0), GUMBEL: (1.0, 1.0), ZERO_FOR_TEST: (0.0, 0.0)}
+from .submodular import ObjectiveOracle
 
 
-@dataclass(frozen=True)
-class GuessLadder:
-    """Geometric guesses {E, (1+theta)E, ...} capped and completed by m.
-
-    For every x in [E, m] some guess O satisfies x <= O <= (1+theta)x.
-    """
-
-    E: float
-    m: float
-    theta: float
-    guesses: tuple[float, ...]
-
-    @property
-    def T(self) -> int:
-        return len(self.guesses)
+def ladder_floor(k: int, epsilon: float, n: int, m: float) -> float:
+    """The ladder's lower estimate E = min(k ln max(n, 2) / eps, m/2); n and m
+    are public bounds on the stream length and the number of agents."""
+    return min(k * math.log(max(n, 2)) / epsilon, m / 2.0)
 
 
 @functools.lru_cache(maxsize=256, typed=True)
-def build_guess_ladder(E: float, m: float, theta: float) -> GuessLadder:
-    """Build the guess ladder; collapses to the single guess {m} when E >= m.
+def build_guess_ladder(E: float, m: float, theta: float) -> tuple[float, ...]:
+    """Geometric guesses (E, (1+theta)E, ...) capped and completed by m.
+
+    For every x in [E, m] some guess O satisfies x <= O <= (1+theta)x.
+    Collapses to the single guess (m,) when E >= m.
 
     Memoized: a ladder is a pure function of public inputs, and repeated
     runs on one configuration rebuild the same one.
@@ -53,7 +41,7 @@ def build_guess_ladder(E: float, m: float, theta: float) -> GuessLadder:
     if not (0 < E < math.inf and 0 < m < math.inf):
         raise ValueError(f"E and m must be positive and finite, got E={E}, m={m}")
     if E >= m:
-        return GuessLadder(E=E, m=m, theta=theta, guesses=(m,))
+        return (m,)
     guesses = []
     # The 1e-9 nudge keeps exact powers (e.g. m/E = 2^j) from losing their
     # top rung to floating-point log round-off.
@@ -64,7 +52,12 @@ def build_guess_ladder(E: float, m: float, theta: float) -> GuessLadder:
             break
         guesses.append(value)
     guesses.append(float(m))
-    return GuessLadder(E=E, m=m, theta=theta, guesses=tuple(guesses))
+    return tuple(guesses)
+
+
+def _check_k(k) -> None:
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k}")
 
 
 def threshold_stream(f: ObjectiveOracle, V, k: int, O: float) -> list:
@@ -72,8 +65,7 @@ def threshold_stream(f: ObjectiveOracle, V, k: int, O: float) -> list:
 
     The result satisfies f(S) >= min(O/2, f(OPT) - O/2).
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    _check_k(k)
     if not O > 0:
         raise ValueError(f"guess O must be positive, got {O}")
     state = f.make_state()
@@ -104,8 +96,7 @@ def threshold_stream_with_tail_fill(f: ObjectiveOracle, V, k: int, guesses) -> l
     from the highest bars down and a group skips its marginal when a group
     with a subset of its set already measured a gain below all its bars.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    _check_k(k)
     guesses = list(guesses)
     if not guesses:
         raise ValueError("guesses must be non-empty")
@@ -277,8 +268,7 @@ class PssmConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.k, numbers.Integral) or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
+        _check_k(self.k)
         if not 0 < self.theta < 1:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         if self.noise_kind not in (LAPLACE, GUMBEL, ZERO_FOR_TEST):
@@ -302,7 +292,6 @@ class RunDiagnostics:
     marginal_calls: int
     retained_total: int
     budget: BudgetSplit | None = None
-    eta: float | None = None
     reported_error_bound: float | None = None
 
     @property
@@ -353,23 +342,26 @@ def pssm(f: ObjectiveOracle, V, cfg: PssmConfig) -> tuple[list, RunDiagnostics]:
     V = list(V) if cfg.n_bound is None else V
     n = cfg.n_bound if cfg.n_bound is not None else len(V)
 
-    epsilon = cfg.privacy.epsilon
-    E = min(cfg.k * math.log(max(n, 2)) / epsilon, m / 2.0)
-    ladder = build_guess_ladder(E, m, cfg.theta)
-    T = ladder.T
+    E = ladder_floor(cfg.k, cfg.privacy.epsilon, n, m)
+    guesses = build_guess_ladder(E, m, cfg.theta)
+    T = len(guesses)
 
-    if private:
-        budget = split_budget(cfg.privacy, T, cfg.noise_kind, k=cfg.k)
-        scale = budget.laplace_scale if cfg.noise_kind == LAPLACE else budget.gumbel_scale
-    else:
-        budget, scale = None, 0.0
-    threshold_mult, score_mult = _SCALE_MULTIPLIERS[cfg.noise_kind]
     # Rung i draws its threshold noise from stream (master_seed, i, 0) and
     # its score noise from (master_seed, i, 1); the selection draws from
     # (master_seed, T, 2). All are spawned from one root seeded
     # (master_seed,), which mixes only the two extra parts per stream.
-    threshold_root = NoiseSource(cfg.noise_kind, threshold_mult * scale, seed=(cfg.master_seed,))
-    score_root = threshold_root.spawn(scale=score_mult * scale)
+    if private:
+        budget = split_budget(cfg.privacy, T, cfg.noise_kind, k=cfg.k)
+        scale = budget.laplace_scale if cfg.noise_kind == LAPLACE else budget.gumbel_scale
+        # Lap(sigma) on the threshold vs Lap(2 sigma) on scores; Gumbel(gamma) on both.
+        threshold_root = NoiseSource(cfg.noise_kind, scale, seed=(cfg.master_seed,))
+        score_root = threshold_root.spawn(scale=2.0 * scale if cfg.noise_kind == LAPLACE else scale)
+        # The exponential mechanism: Gumbel(2*sens/eps_sel) noise on each value.
+        selection_source = threshold_root.spawn(
+            T, 2, kind=GUMBEL, scale=2.0 * f.sensitivity / budget.selection_epsilon)
+    else:
+        budget = None
+        threshold_root = score_root = selection_source = NoiseSource(ZERO_FOR_TEST, 0.0, seed=0)
     instances = [
         SparseInstance(
             threshold=guess / (2.0 * cfg.k),
@@ -377,24 +369,16 @@ def pssm(f: ObjectiveOracle, V, cfg: PssmConfig) -> tuple[list, RunDiagnostics]:
             threshold_noise=threshold_root.spawn(i, 0),
             score_noise=score_root.spawn(i, 1),
         )
-        for i, guess in enumerate(ladder.guesses)
+        for i, guess in enumerate(guesses)
     ]
     states, streamed, checks = _scan(f, V, instances, n)
 
     values = tuple(state.value for state in states)
-    # The exponential mechanism on half the budget: Gumbel(2*sens/(eps/2))
-    # noise on each value; a noiseless run's zero root spawns a zero source.
-    selection_epsilon = epsilon / 2.0
-    if private:
-        selection_source = threshold_root.spawn(
-            T, 2, kind=GUMBEL, scale=2.0 * f.sensitivity / selection_epsilon)
-    else:
-        selection_source = threshold_root.spawn(T, 2)
     chosen = private_argmax(values, selection_source)
 
     sizes = tuple(inst.count for inst in instances)
     diagnostics = RunDiagnostics(
-        guesses=ladder.guesses,
+        guesses=guesses,
         per_guess_sizes=sizes,
         per_guess_values=values,
         chosen_index=chosen,
@@ -403,56 +387,10 @@ def pssm(f: ObjectiveOracle, V, cfg: PssmConfig) -> tuple[list, RunDiagnostics]:
         marginal_calls=checks,
         retained_total=sum(len(state._selected_set) for state in states),
         budget=budget,
-        eta=cfg.eta,
         reported_error_bound=(
             _reported_error_bound(cfg.noise_kind, scale, cfg.k, streamed, T,
-                                  cfg.eta, selection_epsilon)
+                                  cfg.eta, budget.selection_epsilon)
             if private else 0.0
         ),
     )
     return list(states[chosen].selected), diagnostics
-
-
-class _BoundedUniformNoise:
-    # Duck-typed stand-in source whose draws stay inside [lo, hi].
-    kind = "bounded-uniform"
-
-    def __init__(self, lo, hi, rng):
-        self.lo = lo
-        self.hi = hi
-        self._rng = rng
-
-    def draw(self) -> float:
-        return self._rng.uniform(self.lo, self.hi)
-
-
-def bounded_noise_utility_check(f: ObjectiveOracle, V, k: int, O: float,
-                                a_l: float, a_u: float, b_l: float, b_u: float,
-                                rng) -> bool:
-    """Verify the utility floor of one noisy threshold instance under bounded
-    noise: threshold noise in [a_l, a_u], score noise in [b_l, b_u].
-
-    Every accepted element clears its check despite worst-case noise, giving
-    f(S) >= O/2 - k*b_u + k*a_l when the instance fills, and every rejected
-    optimum element was nearly worthless, giving
-    f(S) >= f(OPT) - O/2 - k*max(a_u - b_l, 0) otherwise; the check asserts
-    the min of both floors against the exact optimum. With zero-width bounds
-    it is exactly the noiseless threshold guarantee.
-    """
-    if a_l > a_u or b_l > b_u:
-        raise ValueError("noise bounds must be ordered: a_l <= a_u, b_l <= b_u")
-    V = list(V)
-    inst = SparseInstance(
-        threshold=O / (2.0 * k),
-        capacity=k,
-        threshold_noise=_BoundedUniformNoise(a_l, a_u, rng),
-        score_noise=_BoundedUniformNoise(b_l, b_u, rng),
-    )
-    (state,), _, _ = _scan(f, V, [inst], len(V))
-    _, opt_value = brute_force_opt(f, V, k)
-    floor = min(
-        O / 2.0 - k * b_u + k * a_l,
-        opt_value - O / 2.0 - k * max(a_u - b_l, 0.0),
-    )
-    achieved = state.value
-    return achieved >= floor - 1e-9 * max(1.0, abs(floor))

@@ -15,23 +15,14 @@ import pytest
 from privstream.accounting import PrivacyParams
 from privstream.experiment import ExperimentConfig, run_experiment
 from privstream.noise import GUMBEL, NoiseSource, private_argmax
-from privstream.objectives import (
-    coverage_oracle,
-    generate_hard_instance,
-    kmedians_oracle,
-)
-from privstream.streaming import (
-    PssmConfig,
-    bounded_noise_utility_check,
-    build_guess_ladder,
-    pssm,
-    threshold_stream,
-)
+from privstream.objectives import coverage_oracle, kmedians_oracle
+from privstream.streaming import PssmConfig, build_guess_ladder, pssm, threshold_stream
 from privstream.submodular import (
     brute_force_opt,
     check_submodular_monotone,
     sensitivity_probe,
 )
+from support import bounded_noise_utility_check, generate_hard_instance
 
 # Frozen configuration for the desk-scale reproduction (criteria 7 and 8):
 # defaults give the 10x500-client mixture, 30x30 grid, theta 0.2,
@@ -84,9 +75,9 @@ def test_criterion_01_distributional_correctness():
 
 def test_criterion_02_gumbel_tail_bounds():
     mu, gamma, beta = 0.5, 2.0, 0.01
-    src = NoiseSource(GUMBEL, gamma, seed=77, location=mu)
+    src = NoiseSource(GUMBEL, gamma, seed=77)
     n = 1_000_000
-    draws = np.array([src.draw() for _ in range(n)])
+    draws = np.array([mu + src.draw() for _ in range(n)])
     upper_rate = float((draws > mu + gamma * math.log(1 / beta)).mean())
     lower_rate = float((draws < mu - gamma * math.log(math.log(1 / beta))).mean())
     assert upper_rate <= 1.1 * beta
@@ -125,9 +116,8 @@ def test_criterion_04_approximation_guarantee():
         labels = list(range(n_labels))
         _, opt = brute_force_opt(f, labels, k)
         E = max(f.evaluate([e]) for e in labels)
-        ladder = build_guess_ladder(E, float(f.num_agents), theta)
         best = -math.inf
-        for O in ladder.guesses:
+        for O in build_guess_ladder(E, float(f.num_agents), theta):
             value = f.evaluate(threshold_stream(f, labels, k, O))
             assert value >= min(O / 2, opt - O / 2) - 1e-9
             best = max(best, value)

@@ -34,6 +34,9 @@ def test_load_points_csv_max_rows(tmp_path):
     cloud = load_points_csv(path, "x", "y", max_rows=100)
     assert len(cloud) == 100
     assert cloud.points[-1].tolist() == [99.0, 99.0]
+    for max_rows in (0, -1):
+        with pytest.raises(ValueError, match="max_rows"):
+            load_points_csv(path, "x", "y", max_rows=max_rows)
 
 
 def test_load_points_csv_errors(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from privstream.experiment import (
     CSV_HEADER,
+    METHODS,
     ExperimentConfig,
     _best_singleton,
     _run_nonprivate,
@@ -127,6 +128,9 @@ def test_config_validation():
         ExperimentConfig(methods=("laplace", "quantum"))
     with pytest.raises(ValueError):
         ExperimentConfig(repetitions=0)
+    for max_rows in (0, -1):
+        with pytest.raises(ValueError, match="max_rows"):
+            ExperimentConfig(max_rows=max_rows)
     for k_values in ((), (0,), (5, -1), (2.5,)):
         with pytest.raises(ValueError, match="k_values"):
             ExperimentConfig(k_values=k_values)
@@ -151,6 +155,18 @@ def test_config_validation():
         with pytest.raises(ValueError, match="delta"):
             ExperimentConfig(delta=delta)
     assert ExperimentConfig(delta=None, composition="advanced", eta=0.5).delta is None
+
+
+def test_degenerate_instance_fails_every_cell_not_the_sweep():
+    # One client makes every grid point coincide with it, so G = 0 and any
+    # oracle value raises; the best-singleton scan must fail inside a cell.
+    # (The auto delta 1/|P|^1.5 = 1 fails the private cells first.)
+    cfg = ExperimentConfig(components=1, points_per_component=1, grid_side=3,
+                           k_values=(1,), epsilon_values=(0.5,), repetitions=1)
+    report = run_experiment(cfg)
+    assert len(report.cells) == len(METHODS)
+    assert report.failed_cells == report.cells
+    assert "normalizer is 0" in report.cell("nonprivate", 1, 0.5).error
 
 
 def test_tiny_sweep_structure():
@@ -212,11 +228,11 @@ def per_eps_nonprivate(oracle, stream, theta, k, epsilon, best_singleton):
     # ladder: the reference the merged pass must reproduce.
     n = len(stream)
     E = min(best_singleton, k * math.log(max(n, 2)) / epsilon, oracle.num_agents / 2.0)
-    ladder = build_guess_ladder(E, float(oracle.num_agents), theta)
+    guesses = build_guess_ladder(E, float(oracle.num_agents), theta)
     best_set: list = []
     best_value = -math.inf
     retained = 0
-    for S in threshold_stream_with_tail_fill(oracle, stream, k, ladder.guesses):
+    for S in threshold_stream_with_tail_fill(oracle, stream, k, guesses):
         retained += len(S)
         value = oracle.evaluate(S)
         if value > best_value:

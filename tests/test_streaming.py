@@ -12,13 +12,13 @@ from privstream.streaming import (
     PssmConfig,
     SparseInstance,
     _scan,
-    bounded_noise_utility_check,
     build_guess_ladder,
     pssm,
     threshold_stream,
     threshold_stream_with_tail_fill,
 )
 from privstream.submodular import ModularObjective, brute_force_opt
+from support import bounded_noise_utility_check
 
 
 def zero_source():
@@ -40,16 +40,16 @@ def make_cfg(**kwargs):
 def test_ladder_examples():
     # theta is restricted to (0, 1); 0.999999999999 reproduces doubling
     near_one = 1.0 - 1e-13
-    ladder = build_guess_ladder(1.0, 8.0, near_one)
-    assert ladder.guesses == pytest.approx((1.0, 2.0, 4.0, 8.0))
-    assert ladder.T == 4
-    ladder = build_guess_ladder(1.0, 10.0, near_one)
-    assert ladder.guesses == pytest.approx((1.0, 2.0, 4.0, 8.0, 10.0))
-    assert ladder.T == 5
+    guesses = build_guess_ladder(1.0, 8.0, near_one)
+    assert guesses == pytest.approx((1.0, 2.0, 4.0, 8.0))
+    assert len(guesses) == 4
+    guesses = build_guess_ladder(1.0, 10.0, near_one)
+    assert guesses == pytest.approx((1.0, 2.0, 4.0, 8.0, 10.0))
+    assert len(guesses) == 5
 
 
 def test_ladder_degenerate_and_validation():
-    assert build_guess_ladder(12.0, 5.0, 0.5).guesses == (5.0,)
+    assert build_guess_ladder(12.0, 5.0, 0.5) == (5.0,)
     with pytest.raises(ValueError):
         build_guess_ladder(1.0, 10.0, 0.0)
     with pytest.raises(ValueError):
@@ -70,18 +70,18 @@ def test_ladder_degenerate_and_validation():
 @settings(max_examples=150)
 def test_ladder_covers_range(E, ratio, theta, xs):
     m = E * ratio
-    ladder = build_guess_ladder(E, m, theta)
-    assert ladder.guesses[-1] == m
+    guesses = build_guess_ladder(E, m, theta)
+    assert guesses[-1] == m
     for frac in xs:
         x = E + frac * (m - E)
-        assert any(x <= g <= (1 + theta) * x * (1 + 1e-9) for g in ladder.guesses)
+        assert any(x <= g <= (1 + theta) * x * (1 + 1e-9) for g in guesses)
 
 
 def test_ladder_dense_coverage():
     rng = np.random.default_rng(0)
-    ladder = build_guess_ladder(2.0, 900.0, 0.2)
+    guesses = build_guess_ladder(2.0, 900.0, 0.2)
     for x in rng.uniform(2.0, 900.0, size=10_000):
-        assert any(x <= g <= 1.2 * x * (1 + 1e-9) for g in ladder.guesses)
+        assert any(x <= g <= 1.2 * x * (1 + 1e-9) for g in guesses)
 
 
 def test_threshold_stream_hand_trace():
@@ -99,8 +99,9 @@ def test_threshold_stream_edge_cases():
     assert threshold_stream(f, [], 2, 1.0) == []
     # O above 2k * max singleton: nothing can pass
     assert threshold_stream(f, ["a", "b"], 2, 2 * 2 * 3.0 + 1) == []
-    with pytest.raises(ValueError):
-        threshold_stream(f, ["a"], 0, 1.0)
+    for k in (0, 2.5):
+        with pytest.raises(ValueError, match="k must"):
+            threshold_stream(f, ["a"], k, 1.0)
 
 
 def test_tail_fill_tops_up():
@@ -205,7 +206,7 @@ def test_ladder_makes_fewer_marginal_calls_than_per_guess_passes():
 
     f.make_state = lambda: CountingState(f)
     k = 5
-    guesses = build_guess_ladder(k * math.log(120) / 0.5, 400.0, 0.2).guesses
+    guesses = build_guess_ladder(k * math.log(120) / 0.5, 400.0, 0.2)
     sets = threshold_stream_with_tail_fill(f, f.candidates, k, guesses)
     ladder_calls, calls[0] = calls[0], 0
     assert sets == [per_guess_tail_fill(f, f.candidates, k, O) for O in guesses]
@@ -217,8 +218,9 @@ def test_ladder_validation():
     for guesses in ([], [0.0], [-1.0, 2.0], [math.nan], [2.0, 1.0]):
         with pytest.raises(ValueError, match="guesses"):
             threshold_stream_with_tail_fill(f, [0, 1], 1, guesses)
-    with pytest.raises(ValueError, match="k must"):
-        threshold_stream_with_tail_fill(f, [0, 1], 0, [1.0])
+    for k in (0, 2.5):
+        with pytest.raises(ValueError, match="k must"):
+            threshold_stream_with_tail_fill(f, [0, 1], k, [1.0])
     assert threshold_stream_with_tail_fill(f, [0, 1], 1, [1.0, 1.0]) == [[0], [0]]
 
 
