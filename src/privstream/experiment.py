@@ -241,6 +241,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     clients = _load_clients(cfg)
     stream = _build_stream(cfg, clients)
     delta = cfg.delta if cfg.delta is not None else 1.0 / len(clients) ** 1.5
+    if not delta < 1 and {"laplace", "gumbel"} & set(cfg.methods):
+        # Only the automatic delta of a one-client data set gets here.
+        raise ValueError(
+            f"the automatic delta 1/|P|^1.5 is {delta} for {len(clients)} client; "
+            "private methods need delta in (0, 1), so set delta explicitly"
+        )
     oracle = kmedians_oracle(clients.points, stream)
 
     report = RunReport(client_count=len(clients), grid_points=len(stream), delta=delta)

@@ -1,12 +1,18 @@
 """Laplace/Gumbel noise sources and private argmax selection.
 
-:meth:`NoiseSource.draw` is the one sampler: an inverse-CDF transform of a
-seeded uniform stream, so a (kind, seed) pair fully determines the sample
-sequence. The uniform engine is a splitmix64 counter: the streaming
-algorithms spin up many short independent streams (two per guess instance
-per run), and unlike the stdlib Mersenne Twister this engine costs
-essentially nothing to construct while passing the distributional test
-battery in the suite. The private selection is no separate sampler either:
+Every sample is an inverse-CDF transform of a seeded uniform stream, so a
+(kind, seed) pair fully determines the sample sequence. The uniform engine
+is a splitmix64 counter: the streaming algorithms spin up many short
+independent streams (two per guess instance per run), and unlike the stdlib
+Mersenne Twister this engine costs essentially nothing to construct while
+passing the distributional test battery in the suite. Because it is a
+counter, the j-th draw of a stream is a pure function of (seed, j):
+:meth:`NoiseSource.draw` takes one step, and :func:`draw_block` takes the
+next ``count`` steps of several streams at once as numpy ``uint64``
+arithmetic, returning exactly what ``count`` calls of ``draw()`` on each
+would. Both apply the inverse CDF with ``math.log``, whose results numpy's
+``log`` does not always match to the last bit. The private selection is no
+separate sampler either:
 :func:`private_argmax` adds one draw of a Gumbel source of scale
 2*sens/(eps/2) to each rung's value (``pssm`` spends half its epsilon on it).
 
@@ -17,17 +23,20 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 LAPLACE = "laplace"
 GUMBEL = "gumbel"
 ZERO_FOR_TEST = "zero"
 
 _KINDS = (LAPLACE, GUMBEL, ZERO_FOR_TEST)
 
-# Smallest/largest uniforms fed to the inverse CDFs; keeps log() finite.
+# Smallest uniform fed to the inverse CDFs; keeps log() finite. The largest
+# uniform a counter step gives is (2^53 - 1) * 2^-53 = 1 - 2^-53 < 1.
 _U_LO = 2.0 ** -53
-_U_HI = 1.0 - 2.0 ** -53
 
 _MASK64 = (1 << 64) - 1
+_STEP = 0x9E3779B97F4A7C15  # splitmix64's counter increment
 
 _log = math.log
 
@@ -100,27 +109,67 @@ class NoiseSource:
     def draw(self) -> float:
         """One draw from the source's own distribution.
 
-        One splitmix64 counter step gives a uniform u clamped into (0, 1);
-        the inverse CDF maps it to -scale*ln(-ln u) (Gumbel) or
-        -scale*sign(u - 1/2)*ln(1 - 2|u - 1/2|) (Laplace).
+        One splitmix64 counter step gives a uniform u in [2^-53, 1) (a 0 is
+        raised to 2^-53); the inverse CDF maps it to -scale*ln(-ln u)
+        (Gumbel) or -scale*sign(u - 1/2)*ln(1 - 2|u - 1/2|) (Laplace).
         """
         kind = self.kind
         if kind == ZERO_FOR_TEST:
             return 0.0
-        z = self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self._state = (self._state + _STEP) & _MASK64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         u = ((z ^ (z >> 31)) >> 11) * 1.1102230246251565e-16
         if u < _U_LO:
             u = _U_LO
-        elif u > _U_HI:
-            u = _U_HI
         if kind == GUMBEL:
             return -self.scale * _log(-_log(u))
         u -= 0.5
         if u >= 0:
             return -self.scale * _log(1.0 - 2.0 * u)
         return self.scale * _log(1.0 + 2.0 * u)
+
+
+def draw_block(sources, count: int) -> list[list[float]]:
+    """The next ``count`` draws of each source, one list per source.
+
+    Equals ``count`` calls of :meth:`NoiseSource.draw` on each source bit
+    for bit, and advances each source by ``count`` (a ``zero`` source, whose
+    ``draw()`` keeps no counter, gives zeros). The sources must share one
+    kind and scale. The counter steps and the finalizer run as numpy
+    ``uint64`` arithmetic, which wraps modulo 2^64 as draw()'s masks do; the
+    inverse CDF applies ``math.log`` to each value, and its other steps are
+    single IEEE operations that numpy rounds as Python does.
+    """
+    kind, scale = sources[0].kind, sources[0].scale
+    if any(s.kind != kind or s.scale != scale for s in sources):
+        raise ValueError("a block's sources must share one kind and scale")
+    if kind == ZERO_FOR_TEST:
+        return [[0.0] * count for _ in sources]
+    z = np.array([s._state for s in sources], dtype=np.uint64)[:, None]
+    z = z + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_STEP)
+    advance = count * _STEP
+    for s in sources:
+        s._state = (s._state + advance) & _MASK64
+    z ^= z >> 30
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> 27
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> 31
+    z >>= 11
+    u = z * 1.1102230246251565e-16
+    np.maximum(u, _U_LO, out=u)
+    if kind == GUMBEL:
+        # -scale * ln(-ln u)
+        t = -np.fromiter(map(_log, u.ravel().tolist()), np.float64, u.size)
+        factor = -scale
+    else:
+        # 1 - 2|u - 1/2| is the argument of both of draw()'s Laplace logs.
+        u -= 0.5
+        t = 1.0 - 2.0 * np.abs(u.ravel())
+        factor = np.where(u >= 0, -scale, scale)
+    logs = np.fromiter(map(_log, t.tolist()), np.float64, u.size).reshape(u.shape)
+    return (factor * logs).tolist()
 
 
 def _check_kind(kind: str, scale: float) -> None:

@@ -37,8 +37,9 @@ def bounding_box_l1_diameter(points: np.ndarray) -> float:
 
 class _KMediansState(OracleState):
     # Owns a per-client nearest-distance vector; accept() tightens it in
-    # place and reads the value off it, so marginals and accepts each cost
-    # one vectorized pass over the clients, in the oracle's buffers.
+    # place, so marginals and accepts each cost one vectorized pass over the
+    # clients, in the oracle's buffers. The value is summed off it only when
+    # read: the threshold ladders accept far more often than they read one.
     # A superset's distances are elementwise <= a subset's (min is exact),
     # and subtraction, max and pairwise summation all keep that order, so
     # gains never grow and never exceed the empty state's.
@@ -68,11 +69,16 @@ class _KMediansState(OracleState):
         return float(buf.sum() / oracle.normalizer)
 
     def accept(self, e) -> None:
-        oracle = self.oracle
-        np.minimum(self._dmin, oracle._shared_column(e), out=self._dmin)
+        np.minimum(self._dmin, self.oracle._shared_column(e), out=self._dmin)
         self.selected.append(e)
         self._selected_set.add(e)
-        self.value = float(oracle.num_agents - self._dmin.sum() / oracle.normalizer)
+
+    @property
+    def value(self) -> float:
+        if not self.selected:
+            return 0.0
+        oracle = self.oracle
+        return float(oracle.num_agents - self._dmin.sum() / oracle.normalizer)
 
 
 class KMediansObjective(DecomposableObjective):

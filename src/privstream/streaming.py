@@ -16,7 +16,7 @@ import numbers
 from dataclasses import dataclass
 
 from .accounting import BudgetSplit, PrivacyParams, split_budget
-from .noise import GUMBEL, LAPLACE, ZERO_FOR_TEST, NoiseSource, private_argmax
+from .noise import GUMBEL, LAPLACE, ZERO_FOR_TEST, NoiseSource, draw_block, private_argmax
 from .submodular import ObjectiveOracle
 
 
@@ -178,20 +178,20 @@ class SparseInstance:
         self.halted = self.capacity <= 0
         self._alpha = threshold_noise.draw() if not self.halted else 0.0
 
-    def step(self, state, e, cap: float | None) -> bool:
-        """Answer the query f(e|S) of ``state``; True means Top. Halted
-        instances always answer Bottom without touching any noise stream.
+    def step(self, state, e, cap: float | None, beta: float) -> bool:
+        """Answer the query f(e|S) of ``state`` with score noise ``beta``, the
+        next draw of ``score_noise``; True means Top. Halted instances
+        always answer Bottom without touching the threshold noise.
 
-        The noise is drawn first. When 0 <= f(e|S) <= cap holds exactly,
-        the answer is already fixed once beta >= bar (Top) or
-        cap + beta < bar (Bottom): float addition rounds monotonically, so
-        f(e|S) + beta lies between beta and cap + beta. Only the noisy bars
-        in between ask the state for its marginal; the answers, draws and
-        their order are those of checking every marginal.
+        The noise comes first. When 0 <= f(e|S) <= cap holds exactly, the
+        answer is already fixed once beta >= bar (Top) or cap + beta < bar
+        (Bottom): float addition rounds monotonically, so f(e|S) + beta lies
+        between beta and cap + beta. Only the noisy bars in between ask the
+        state for its marginal; the answers, draws and their order are those
+        of checking every marginal.
         """
         if self.halted:
             return False
-        beta = self.score_noise.draw()
         bar = self.threshold + self._alpha
         if beta < bar:
             if cap is not None and cap + beta < bar:
@@ -206,6 +206,15 @@ class SparseInstance:
         return True
 
 
+# Score noise is drawn for _BLOCK elements at a time, one block for all live
+# rungs, when that makes at least _BLOCK_GATE draws; smaller windows draw one
+# value per check. On a 2-core x86 machine (Python 3.11, numpy 2.4) a block
+# cost ~30 us plus ~0.3-0.4 us per value against ~1.5 us per scalar draw, so
+# below about 32 values a block saves nothing.
+_BLOCK = 32
+_BLOCK_GATE = 32
+
+
 def _scan(f: ObjectiveOracle, V, instances, n: int) -> tuple[list, int, int]:
     """Stream V once through the instances, each with a fresh oracle state
     that accepts an element when its instance answers Top; an instance
@@ -215,15 +224,27 @@ def _scan(f: ObjectiveOracle, V, instances, n: int) -> tuple[list, int, int]:
     When the states declare ``exact_diminishing_returns``, an empty probe
     state's marginal bounds every check's f(e|S), so the checks get it as
     ``cap``; it is asked once per element that reaches a live instance.
+
+    Score noise is read ahead: for each window of _BLOCK elements (fewer
+    once the stream bound n is closer), the live rungs' next draws for the
+    whole window come from one :func:`draw_block` call when there are at
+    least _BLOCK_GATE of them, and each check consumes its rung's next
+    value. Draws past a rung's halt or the end of V are discarded; nothing
+    reads a score source after the scan. Each check consumes the value it
+    would draw on its own, so answers and states do not depend on the
+    windows.
     """
     states = [f.make_state() for _ in instances]
-    live = [(inst, state) for inst, state in zip(instances, states) if not inst.halted]
+    # (instance, state, its next score draw) of every live rung.
+    live = [(inst, state, inst.score_noise.draw)
+            for inst, state in zip(instances, states) if not inst.halted]
     probe = f.make_state()
     if not probe.exact_diminishing_returns:
         probe = None
     cap = None
     checks = 0
     streamed = 0
+    block_end = 0
     for e in V:
         streamed += 1
         if streamed > n:
@@ -236,13 +257,22 @@ def _scan(f: ObjectiveOracle, V, instances, n: int) -> tuple[list, int, int]:
         if probe is not None:
             cap = probe.marginal(e)
         checks += len(live)
+        if streamed > block_end:
+            length = min(_BLOCK, n - streamed + 1)
+            block_end = streamed + length - 1
+            if len(live) * length >= _BLOCK_GATE:
+                rows = draw_block([inst.score_noise for inst, _, _ in live], length)
+                live = [(inst, state, iter(row).__next__)
+                        for (inst, state, _), row in zip(live, rows)]
+            elif streamed > 1:  # the previous window may have read a block
+                live = [(inst, state, inst.score_noise.draw) for inst, state, _ in live]
         halted = False
-        for inst, state in live:
-            if inst.step(state, e, cap):
+        for inst, state, next_beta in live:
+            if inst.step(state, e, cap, next_beta()):
                 state.accept(e)
                 halted = halted or inst.halted
         if halted:
-            live = [pair for pair in live if not pair[0].halted]
+            live = [rung for rung in live if not rung[0].halted]
     return states, streamed, checks
 
 

@@ -20,8 +20,9 @@ class OracleState:
     evaluate(); oracles override :meth:`ObjectiveOracle.make_state` with an
     incremental form that must agree with the evaluate difference.
 
-    ``value`` equals ``oracle.evaluate(selected)`` exactly after every
-    accept, so callers read a set's value off its state.
+    ``value`` equals ``oracle.evaluate(selected)`` exactly whenever read,
+    so callers read a set's value off its state; a state may compute it
+    only when it is read.
 
     ``exact_diminishing_returns`` declares that a state whose set contains
     this one's never answers a larger marginal, exactly in floating point,
@@ -31,12 +32,12 @@ class OracleState:
     """
 
     exact_diminishing_returns = False
+    value: float = 0.0  # the empty set's; accept() stores each new value
 
     def __init__(self, oracle):
         self.oracle = oracle
         self.selected: list = []
         self._selected_set: set = set()
-        self.value: float = 0.0
 
     def __len__(self):
         return len(self.selected)

@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass
 
 from privstream.objectives import CoverageObjective
-from privstream.streaming import SparseInstance, _scan
+from privstream.streaming import _BLOCK_GATE, SparseInstance, _scan
 from privstream.submodular import ObjectiveOracle, brute_force_opt
 
 
@@ -44,6 +44,10 @@ def bounded_noise_utility_check(f: ObjectiveOracle, V, k: int, O: float,
     if a_l > a_u or b_l > b_u:
         raise ValueError("noise bounds must be ordered: a_l <= a_u, b_l <= b_u")
     V = list(V)
+    if len(V) >= _BLOCK_GATE:
+        # The stand-in sources only draw(); the scan reads score noise in
+        # blocks from real sources once one rung sees this many elements.
+        raise ValueError(f"the stream must stay below {_BLOCK_GATE} elements")
     inst = SparseInstance(
         threshold=O / (2.0 * k),
         capacity=k,

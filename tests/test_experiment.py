@@ -160,13 +160,28 @@ def test_config_validation():
 def test_degenerate_instance_fails_every_cell_not_the_sweep():
     # One client makes every grid point coincide with it, so G = 0 and any
     # oracle value raises; the best-singleton scan must fail inside a cell.
-    # (The auto delta 1/|P|^1.5 = 1 fails the private cells first.)
+    # The explicit delta keeps the private methods running into G = 0 too.
     cfg = ExperimentConfig(components=1, points_per_component=1, grid_side=3,
-                           k_values=(1,), epsilon_values=(0.5,), repetitions=1)
+                           k_values=(1,), epsilon_values=(0.5,), repetitions=1,
+                           delta=0.01)
     report = run_experiment(cfg)
     assert len(report.cells) == len(METHODS)
     assert report.failed_cells == report.cells
-    assert "normalizer is 0" in report.cell("nonprivate", 1, 0.5).error
+    for cell in report.cells:
+        assert "normalizer is 0" in cell.error
+
+
+def test_automatic_delta_of_one_client_is_rejected_before_any_cell():
+    # 1/|P|^1.5 = 1 for one client, outside (0, 1): the sweep refuses to
+    # start rather than failing every private cell on its own.
+    one = dict(components=1, points_per_component=1, grid_side=3,
+               k_values=(1,), epsilon_values=(0.5,), repetitions=1)
+    for methods in (METHODS, ("gumbel",), ("laplace", "random")):
+        with pytest.raises(ValueError, match="automatic delta"):
+            run_experiment(ExperimentConfig(**one, methods=methods))
+    report = run_experiment(ExperimentConfig(**one, methods=("nonprivate", "random")))
+    assert report.delta == 1.0
+    assert [cell.method for cell in report.failed_cells] == ["nonprivate", "random"]
 
 
 def test_tiny_sweep_structure():

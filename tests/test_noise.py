@@ -12,6 +12,7 @@ from privstream.noise import (
     ZERO_FOR_TEST,
     NoiseSource,
     derive_seed,
+    draw_block,
     private_argmax,
 )
 from privstream.objectives import coverage_oracle
@@ -97,6 +98,98 @@ def test_tuple_seeds_are_deterministic_and_distinct():
     assert xs == [b.draw() for _ in range(20)]
     assert xs != [c.draw() for _ in range(20)]
     assert derive_seed(7, 1, 0) != derive_seed(7, 0, 1)
+
+
+MASK64 = (1 << 64) - 1
+STEP = 0x9E3779B97F4A7C15
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D049BB133111EB
+
+
+def unxorshift(y, shift):
+    # Inverts x ^ (x >> shift): each pass fixes shift more high bits.
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def unfinalize(out):
+    """The counter value whose splitmix64 finalizer output is ``out``."""
+    z = unxorshift(out, 31)
+    z = (z * pow(MIX2, -1, 1 << 64)) & MASK64
+    z = unxorshift(z, 27)
+    z = (z * pow(MIX1, -1, 1 << 64)) & MASK64
+    return unxorshift(z, 30)
+
+
+def finalize(z):
+    z = ((z ^ (z >> 30)) * MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * MIX2) & MASK64
+    return z ^ (z >> 31)
+
+
+def bits(rows):
+    return [[x.hex() for x in row] for row in rows]
+
+
+def scalar_block(sources, count):
+    return [[s.draw() for _ in range(count)] for s in sources]
+
+
+@pytest.mark.filterwarnings("error")  # numpy warns on a scalar uint64 overflow
+@pytest.mark.parametrize("kind", [LAPLACE, GUMBEL])
+def test_draw_block_equals_scalar_draws(kind):
+    for scale in (1e-3, 0.3, 2.5, 117.0):
+        for seed in range(40):
+            width = 1 + seed % 6
+            sources = [NoiseSource(kind, scale, seed=(seed, i, 1)) for i in range(width)]
+            twins = [NoiseSource(kind, scale, seed=(seed, i, 1)) for i in range(width)]
+            for count in (1, 2, 7, 31, 32, 33, 65):
+                start = [s._state for s in sources]
+                assert bits(draw_block(sources, count)) == bits(scalar_block(twins, count))
+                assert [s._state for s in sources] == [
+                    (x + count * STEP) & MASK64 for x in start]
+            # Each source goes on where its block ended.
+            assert bits(scalar_block(sources, 3)) == bits(scalar_block(twins, 3))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", [LAPLACE, GUMBEL])
+def test_draw_block_clamps_a_zero_uniform(kind):
+    # Finalizer outputs below 2^11 give u = 0, which is raised to 2^-53;
+    # 2^11 gives 2^-53 itself, the same draw, and 2^12 the next uniform up.
+    # Counters are set so the step lands at
+    # several positions of a block, on either side of a wrap past 2^64.
+    clamped = NoiseSource(kind, 2.0, seed=0)
+    clamped._state = (unfinalize(0) - STEP) & MASK64
+    expected = clamped.draw()
+    if kind == GUMBEL:
+        assert expected == -2.0 * math.log(-math.log(2.0 ** -53))
+    else:
+        assert expected == 2.0 * math.log(1.0 + 2.0 * (2.0 ** -53 - 0.5))
+    for out in (0, 5, 2047, 2048, 4096):
+        counter = unfinalize(out)
+        assert finalize(counter) == out
+        for position in (1, 17, 40):
+            sources = [NoiseSource(kind, 2.0, seed=(out, i)) for i in range(3)]
+            twins = [NoiseSource(kind, 2.0, seed=(out, i)) for i in range(3)]
+            for s in (sources[1], twins[1]):
+                s._state = (counter - position * STEP) & MASK64
+            rows = draw_block(sources, 40)
+            assert bits(rows) == bits(scalar_block(twins, 40))
+            assert (rows[1][position - 1] == expected) == (out < 4096)
+
+
+def test_draw_block_validation_and_zero_sources():
+    zero = [NoiseSource(ZERO_FOR_TEST, 0.0, seed=i) for i in range(2)]
+    assert draw_block(zero, 3) == [[0.0] * 3, [0.0] * 3]
+    assert [s._state for s in zero] == [derive_seed(0), derive_seed(1)]
+    mixed = [[NoiseSource(LAPLACE, 1.0, seed=0), NoiseSource(LAPLACE, 2.0, seed=1)],
+             [NoiseSource(LAPLACE, 1.0, seed=0), NoiseSource(GUMBEL, 1.0, seed=1)]]
+    for sources in mixed:
+        with pytest.raises(ValueError, match="one kind and scale"):
+            draw_block(sources, 4)
 
 
 def test_laplace_moments_and_tail():

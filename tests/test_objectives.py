@@ -97,11 +97,25 @@ def test_kmedians_grid_caches_two_vectors_per_side():
 
 def _state_value_is_exact(f, picks):
     state = f.make_state()
+    assert state.value == 0.0
     for e in picks:
         state.marginal(e)
         state.accept(e)
         assert state.value == f.evaluate(state.selected)
     assert state.selected == list(picks)
+    unread = f.make_state()  # a value first read after every accept
+    for e in picks:
+        unread.accept(e)
+    assert unread.value == state.value
+
+
+def test_kmedians_empty_state_value_is_zero():
+    # Three distances of G = 0.1 sum to 0.30000000000000004, so the value
+    # formula n - sum(d)/G would read -4.4e-16 for the empty set.
+    f = kmedians_oracle([[0.0, 0.0], [0.05, 0.0], [0.1, 0.0]], [(0.0, 0.0)], normalizer=0.1)
+    assert f.num_agents - np.full(3, 0.1).sum() / 0.1 != 0.0
+    assert f.make_state().value == 0.0
+    assert f.evaluate([]) == 0.0
 
 
 point = st.tuples(st.integers(0, 6), st.integers(0, 6)).map(lambda p: (p[0] * 0.7, p[1] * 1.3))

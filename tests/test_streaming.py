@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privstream import streaming
 from privstream.accounting import PrivacyParams
 from privstream.noise import GUMBEL, LAPLACE, ZERO_FOR_TEST, NoiseSource
 from privstream.objectives import coverage_oracle, kmedians_oracle
@@ -235,7 +237,9 @@ class ConstantMarginal:
 
 
 def query(inst, value):
-    return inst.step(ConstantMarginal(value), "e", None)
+    # The scan draws a live instance's score noise for each check.
+    beta = 0.0 if inst.halted else inst.score_noise.draw()
+    return inst.step(ConstantMarginal(value), "e", None, beta)
 
 
 def test_sparse_instance_zero_noise_trace():
@@ -282,9 +286,25 @@ class RecordedNoise:
         return x
 
 
+class RecordingInstance(SparseInstance):
+    """A SparseInstance that records the score noise each check consumes:
+    the scan draws score noise ahead in blocks, so a source's draws are not
+    what its checks consumed."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.betas = []
+
+    def step(self, state, e, cap, beta):
+        if not self.halted:
+            self.betas.append(beta)
+        return super().step(state, e, cap, beta)
+
+
 def reference_scan(f, V, instances):
-    # The scan and step before noise-first checks: every live rung asks its
-    # state for f(e|S), then draws its score noise and compares.
+    # The scan and step before noise-first checks and block draws: every
+    # live rung asks its state for f(e|S), then draws its score noise on
+    # its own and compares.
     states = [f.make_state() for _ in instances]
     checks = 0
     for e in V:
@@ -294,6 +314,7 @@ def reference_scan(f, V, instances):
             checks += 1
             query_value = state.marginal(e)
             beta = inst.score_noise.draw()
+            inst.betas.append(beta)
             if query_value + beta >= inst.threshold + inst._alpha:
                 inst.count += 1
                 if inst.count >= inst.capacity:
@@ -305,21 +326,49 @@ def reference_scan(f, V, instances):
 
 
 def make_rungs(kind, scale, seed, thresholds, k, scripts=None):
+    # Scripted score noise has only draw(), so it must stay below the block
+    # gate; unscripted score noise is a real source that blocks can read.
     scripts = scripts or {}
+
+    def score_noise(i):
+        source = NoiseSource(kind, 2 * scale, seed=(seed, i, 1))
+        return RecordedNoise(source, scripts[i, 1]) if (i, 1) in scripts else source
+
     return [
-        SparseInstance(
+        RecordingInstance(
             threshold, k,
             RecordedNoise(NoiseSource(kind, scale, seed=(seed, i, 0)), scripts.get((i, 0), ())),
-            RecordedNoise(NoiseSource(kind, 2 * scale, seed=(seed, i, 1)), scripts.get((i, 1), ())),
+            score_noise(i),
         )
         for i, threshold in enumerate(thresholds)
     ]
 
 
+@contextlib.contextmanager
+def recorded_blocks():
+    """Yields a list of (number of sources, count), one per block drawn."""
+    blocks = []
+    real = streaming.draw_block
+
+    def draw_block(sources, count):
+        blocks.append((len(sources), count))
+        return real(sources, count)
+
+    streaming.draw_block = draw_block
+    try:
+        yield blocks
+    finally:
+        streaming.draw_block = real
+
+
 def assert_scan_matches_reference(f, V, kind, scale, seed, thresholds, k, scripts=None):
+    """Runs the scan and the reference on twin rungs, asserts that each rung
+    consumed the same threshold and score noise in the same order and ended
+    in the same state; returns the scan's states and its blocks."""
     new = make_rungs(kind, scale, seed, thresholds, k, scripts)
     old = make_rungs(kind, scale, seed, thresholds, k, scripts)
-    states, streamed, checks = _scan(f, V, new, len(V))
+    with recorded_blocks() as blocks:
+        states, streamed, checks = _scan(f, V, new, len(V))
     ref_states, ref_checks = reference_scan(f, V, old)
     assert (streamed, checks) == (len(V), ref_checks)
     for a, b, state, ref in zip(new, old, states, ref_states):
@@ -327,8 +376,8 @@ def assert_scan_matches_reference(f, V, kind, scale, seed, thresholds, k, script
         assert (a.count, a.halted) == (b.count, b.halted)
         assert state.value == ref.value  # per_guess_values
         assert a.threshold_noise.draws == b.threshold_noise.draws
-        assert a.score_noise.draws == b.score_noise.draws
-    return states
+        assert a.betas == b.betas
+    return states, blocks
 
 
 def exactness_oracles(rng):
@@ -355,26 +404,51 @@ def test_noise_first_scan_matches_reference(kind, oracle_index):
     for trial in range(12):
         rng = np.random.default_rng([oracle_index, trial])
         f, domain = exactness_oracles(rng)[oracle_index]
-        V = [domain[i] for i in rng.integers(0, len(domain), size=25)]
+        # 6 rungs x 5 elements stay below the block gate; 25 elements draw
+        # blocks; 70 elements draw blocks of 32, 32 and 6, the last one only
+        # while at least 6 rungs are live.
+        length = (5, 25, 70)[trial // 4]
+        V = [domain[i] for i in rng.integers(0, len(domain), size=length)]
         top = max(f.make_state().marginal(e) for e in domain)
         thresholds = sorted(rng.uniform(0.0, 1.2 * top, size=6))
         scale = 0.0 if kind == ZERO_FOR_TEST else top * (0.02, 0.3, 3.0)[trial % 3]
-        assert_scan_matches_reference(f, V, kind, scale, trial, thresholds,
-                                      k=1 + trial % 4)
+        _, blocks = assert_scan_matches_reference(f, V, kind, scale, trial, thresholds,
+                                                  k=1 + trial % 4)
+        assert bool(blocks) == (length > 5)
+        assert all(count == min(32, length - 32 * j) for j, (_, count) in enumerate(blocks))
+
+
+def test_scan_block_gate_and_mixed_windows():
+    # One rung: a first window of 32 elements makes one block of 32 draws;
+    # the last 8 elements fall below the gate and draw one by one.
+    f = coverage_oracle([int(r) for r in np.random.default_rng(5).integers(0, 6, size=30)])
+    V = [i % 6 for i in range(40)]
+    for kind in (LAPLACE, GUMBEL):
+        states, blocks = assert_scan_matches_reference(f, V, kind, 0.5, 9, [2.0], 40)
+        assert blocks == [(1, 32)]
+        assert len(states[0].selected) < 40
+    # Below the gate from the start: 5 rungs of 6 elements read 30 draws.
+    _, blocks = assert_scan_matches_reference(f, V[:6], LAPLACE, 0.5, 9, [1.0] * 5, 2)
+    assert blocks == []
+    # A rung that halts inside a block discards the rest of its row, and the
+    # next block is drawn for the rungs still live.
+    _, blocks = assert_scan_matches_reference(f, V * 2, LAPLACE, 0.01, 3,
+                                              [0.1, 1.0, 1e6], 2)
+    assert blocks[0] == (3, 32) and blocks[1][0] < 3
 
 
 def test_noise_first_scan_ties():
     # beta == bar: Top without the marginal, and 0 + beta >= bar agrees.
     # Then 0's gain 2 with beta = -1 stays below bar = 1.5 + 0.
     f = coverage_oracle([0, 0, 1])
-    states = assert_scan_matches_reference(
+    states, _ = assert_scan_matches_reference(
         f, [5, 0], ZERO_FOR_TEST, 0.0, 0, [1.5], 2,
         scripts={(0, 0): [0.5, 0.0], (0, 1): [2.0, -1.0]})
     assert states[0].selected == [5]
     # cap + beta == bar: undecided, so the marginal decides. Element 0 has
     # cap 2; bar = 1 + 0 and beta = -1 tie for the empty state (Top), and
     # its repeat gains 0 < 2 (Bottom).
-    states = assert_scan_matches_reference(
+    states, _ = assert_scan_matches_reference(
         f, [0, 0], ZERO_FOR_TEST, 0.0, 0, [1.0], 2,
         scripts={(0, 1): [-1.0, -1.0]})
     assert states[0].selected == [0]
@@ -385,7 +459,7 @@ def test_noise_first_scan_ties():
     e = g.candidates[0]
     cap = g.make_state().marginal(e)
     beta = -0.3 * cap
-    states = assert_scan_matches_reference(
+    states, _ = assert_scan_matches_reference(
         g, [e, g.candidates[1], e], ZERO_FOR_TEST, 0.0, 0, [cap + beta], 3,
         scripts={(0, 1): [beta, beta, beta]})
     assert states[0].selected[0] == e
@@ -393,7 +467,7 @@ def test_noise_first_scan_ties():
     # evaluate-difference gain of 0.2 is (0.1 + 0.2) - 0.1 > 0.2, and a bar
     # at that gain is Top although the empty-state gain 0.2 lies below it.
     h = ModularObjective({"a": 0.1, "b": 0.2})
-    states = assert_scan_matches_reference(
+    states, _ = assert_scan_matches_reference(
         h, ["a", "b"], ZERO_FOR_TEST, 0.0, 0, [(0.1 + 0.2) - 0.1], 2,
         scripts={(0, 0): [0.0, 0.0], (0, 1): [1.0, 0.0]})
     assert states[0].selected == ["a", "b"]
