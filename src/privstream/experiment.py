@@ -76,10 +76,12 @@ class ExperimentConfig:
                 math.isfinite(eps) and eps > 0 for eps in self.epsilon_values):
             raise ValueError(f"epsilon_values must be a non-empty list of finite "
                              f"values > 0, got {self.epsilon_values}")
-        for name in ("k_values", "epsilon_values"):
-            values = getattr(self, name)
-            if len(set(values)) < len(values):
-                raise ValueError(f"{name} must not repeat a value, got {values}")
+        if len(set(self.k_values)) < len(self.k_values):
+            raise ValueError(f"k_values must not repeat a value, got {self.k_values}")
+        # Each epsilon names its CSV, so two sharing a label write one file.
+        if len({format_eps(eps) for eps in self.epsilon_values}) < len(self.epsilon_values):
+            raise ValueError(f"epsilon_values must not repeat a value or share a "
+                             f"file label, got {self.epsilon_values}")
         if not 0 < self.theta < 1:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         if not 0 < self.eta < 1:
@@ -109,7 +111,6 @@ class CellStats:
     epsilon: float
     mean_cost: float = math.nan
     std_cost: float = math.nan
-    mean_retained: float = 0.0
     wall_time_s: float = 0.0
     n_seeds: int = 0
     resource_ok: bool = True
@@ -174,7 +175,7 @@ def _run_private(oracle, stream, cfg, method, k, epsilon, delta, seed):
         diag.retained_total <= k * diag.num_guesses
         and diag.stream_length == len(stream)
     )
-    return selected, diag.retained_total, resource_ok
+    return selected, resource_ok
 
 
 def _best_singleton(oracle, stream, needed):
@@ -198,9 +199,8 @@ def _run_nonprivate(oracle, stream, cfg, k, best_singleton):
     m/2); the best-singleton cap gives it at least as many rungs as the
     private runs. Epsilon moves only E, so one threshold pass over the
     union of the ladders' guesses serves them all. Returns
-    ``{epsilon: (best set, retained)}``: each epsilon takes the argmax of
-    its own ladder's sets, first wins in ascending order, and counts their
-    sizes.
+    ``{epsilon: best set}``: each epsilon takes the argmax of its own
+    ladder's sets, first wins in ascending order.
     """
     n, m = len(stream), float(oracle.num_agents)
     ladders = {
@@ -214,15 +214,12 @@ def _run_nonprivate(oracle, stream, cfg, k, best_singleton):
     for epsilon, guesses in ladders.items():
         best_set: list = []
         best_value = -math.inf
-        retained = 0
         for O in guesses:
-            S = sets[O]
-            retained += len(S)
-            value = oracle.evaluate(S)
+            value = oracle.evaluate(sets[O])
             if value > best_value:
                 best_value = value
-                best_set = S
-        solved[epsilon] = (best_set, retained)
+                best_set = sets[O]
+        solved[epsilon] = best_set
     return solved
 
 
@@ -255,7 +252,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     needed = max(ladder_floor(k, epsilon, len(stream), oracle.num_agents)
                  for k in cfg.k_values for epsilon in cfg.epsilon_values)
     best_singleton = None
-    # (k, stream order) -> {epsilon: (set, retained)} of the non-private pass.
+    # (k, stream order) -> {epsilon: set} of the non-private pass.
     nonprivate = {}
     for method in METHODS:
         if method not in cfg.methods:
@@ -266,7 +263,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                 cell = CellStats(method=method, k=k, epsilon=epsilon)
                 start = time.perf_counter()
                 costs = []
-                retained = []
                 try:
                     for rep in range(cfg.repetitions):
                         rep_stream = _stream_for_rep(cfg, stream, rep)
@@ -281,18 +277,16 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                                     best_singleton = _best_singleton(oracle, stream, needed)
                                 nonprivate[order] = _run_nonprivate(
                                     oracle, rep_stream, cfg, k, best_singleton)
-                            S, kept = nonprivate[order][epsilon]
+                            S = nonprivate[order][epsilon]
                         elif method == "random":
                             S = _run_random(rep_stream, k, seed)
-                            kept = len(S)
                         else:
-                            S, kept, ok = _run_private(
+                            S, ok = _run_private(
                                 oracle, rep_stream, cfg, method, k, epsilon,
                                 delta, seed,
                             )
                             cell.resource_ok = cell.resource_ok and ok
                         costs.append(oracle.clustering_cost(S))
-                        retained.append(kept)
                 except Exception as exc:  # noqa: BLE001 - cell isolation
                     cell.error = f"{type(exc).__name__}: {exc}"
                 else:
@@ -301,7 +295,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                         cell.std_cost = float(np.std(costs, ddof=1))
                     else:
                         cell.std_cost = 0.0
-                    cell.mean_retained = float(np.mean(retained))
                     cell.n_seeds = len(costs)
                 cell.wall_time_s = time.perf_counter() - start
                 report.cells.append(cell)
@@ -351,23 +344,6 @@ def emit_csv(report: RunReport, out_dir, prefix: str = "") -> list[Path]:
     return paths
 
 
-def read_report_csv(path) -> dict[tuple[int, str], tuple[float, float]]:
-    """Parse a file written by emit_csv back into {(k, column): (mean, std)}."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if lines[0] != CSV_HEADER:
-        raise ValueError(f"{path}: unexpected header {lines[0]!r}")
-    out = {}
-    names = [label for _, label in _CSV_COLUMNS]
-    for line in lines[1:]:
-        fields = line.split(",")
-        k = int(fields[0])
-        for j, label in enumerate(names):
-            mean_s, std_s = fields[1 + 2 * j], fields[2 + 2 * j]
-            if mean_s:
-                out[(k, label)] = (float(mean_s), float(std_s))
-    return out
-
-
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 # Optional fields read these words as None; for delta that is 1/|P|^1.5.
@@ -381,8 +357,6 @@ def _parse_value(key: str, raw: str):
         raise ValueError(f"unknown config key {key!r}")
     raw = raw.strip()
     args = typing.get_args(kind)
-    if typing.get_origin(kind) is tuple:
-        return tuple(args[0](part.strip()) for part in raw.split(",") if part.strip())
     if type(None) in args:
         if raw.lower() in _NONE_WORDS:
             return None
@@ -391,7 +365,12 @@ def _parse_value(key: str, raw: str):
         if raw.lower() not in _BOOLEANS:
             raise ValueError(f"{key} must be a boolean, got {raw!r}")
         return _BOOLEANS[raw.lower()]
-    return kind(raw)
+    try:
+        if typing.get_origin(kind) is tuple:
+            return tuple(args[0](part.strip()) for part in raw.split(",") if part.strip())
+        return kind(raw)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def parse_config_text(text: str) -> dict:

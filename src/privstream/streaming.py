@@ -299,6 +299,9 @@ class PssmConfig:
 
     def __post_init__(self):
         _check_k(self.k)
+        if self.n_bound is not None and not (
+                isinstance(self.n_bound, numbers.Integral) and self.n_bound >= 0):
+            raise ValueError(f"n_bound must be an integer >= 0, got {self.n_bound}")
         if not 0 < self.theta < 1:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         if self.noise_kind not in (LAPLACE, GUMBEL, ZERO_FOR_TEST):

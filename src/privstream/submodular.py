@@ -1,4 +1,4 @@
-"""Objective-function abstraction, exact optimizer, and property checkers.
+"""Objective-function abstraction and property checkers.
 
 Oracles are normalized so that evaluate(empty) = 0; concrete oracles in this
 package satisfy that by construction and the property checker reports a
@@ -6,8 +6,6 @@ nonzero empty value as a violation. Elements can be any hashable values.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 
 
@@ -89,54 +87,12 @@ class DecomposableObjective(ObjectiveOracle):
         raise NotImplementedError
 
 
-class ModularObjective(ObjectiveOracle):
-    """Additive objective f(S) = sum of per-element non-negative weights."""
-
-    def __init__(self, weights: dict):
-        if any(w < 0 for w in weights.values()):
-            raise ValueError("modular weights must be non-negative")
-        self.weights = dict(weights)
-        self.sensitivity = max(weights.values(), default=0.0)
-
-    def evaluate(self, S) -> float:
-        return float(sum(self.weights[e] for e in set(S)))
-
-
 def marginal_gain(f: ObjectiveOracle, e, S) -> float:
     """Marginal gain of e over S, 0 when e is already in S."""
     state = f.make_state()
     for x in S:
         state.accept(x)
     return state.marginal(e)
-
-
-_BRUTE_FORCE_LIMIT = 10**7
-
-
-def brute_force_opt(f: ObjectiveOracle, V, k: int):
-    """Exhaustive maximizer over all subsets of V of size at most k.
-
-    Ties break toward smaller, lexicographically earlier (in stream order)
-    subsets. Refuses instances where C(|V|, k) exceeds 10^7 rather than
-    silently truncating.
-    """
-    V = list(V)
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    k = min(k, len(V))
-    if math.comb(len(V), k) > _BRUTE_FORCE_LIMIT:
-        raise ValueError(
-            f"C({len(V)}, {k}) exceeds the enumeration guard of {_BRUTE_FORCE_LIMIT}"
-        )
-    best_set: tuple = ()
-    best_value = f.evaluate(())
-    for size in range(1, k + 1):
-        for combo in itertools.combinations(range(len(V)), size):
-            value = f.evaluate(V[i] for i in combo)
-            if value > best_value:
-                best_value = value
-                best_set = combo
-    return [V[i] for i in best_set], best_value
 
 
 @dataclass

@@ -1,18 +1,81 @@
-"""Test-only helpers: a bounded-noise utility check for one threshold
-instance and a worst-case coverage instance generator.
+"""Test-only helpers: an additive objective, an exhaustive optimizer, a
+reader for the sweep's CSVs, a bounded-noise utility check for one
+threshold instance and a worst-case coverage instance generator.
 
 The test modules import this as ``support``; pytest puts ``tests/`` on the
 import path because the directory is not a package.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
+from privstream.experiment import _CSV_COLUMNS, CSV_HEADER
 from privstream.objectives import CoverageObjective
 from privstream.streaming import _BLOCK_GATE, SparseInstance, _scan
-from privstream.submodular import ObjectiveOracle, brute_force_opt
+from privstream.submodular import ObjectiveOracle
+
+
+class ModularObjective(ObjectiveOracle):
+    """Additive objective f(S) = sum of per-element non-negative weights."""
+
+    def __init__(self, weights: dict):
+        if any(w < 0 for w in weights.values()):
+            raise ValueError("modular weights must be non-negative")
+        self.weights = dict(weights)
+        self.sensitivity = max(weights.values(), default=0.0)
+
+    def evaluate(self, S) -> float:
+        return float(sum(self.weights[e] for e in set(S)))
+
+
+_BRUTE_FORCE_LIMIT = 10**7
+
+
+def brute_force_opt(f: ObjectiveOracle, V, k: int):
+    """Exhaustive maximizer over all subsets of V of size at most k.
+
+    Ties break toward smaller, lexicographically earlier (in stream order)
+    subsets. Refuses instances where C(|V|, k) exceeds 10^7 rather than
+    silently truncating.
+    """
+    V = list(V)
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+    k = min(k, len(V))
+    if math.comb(len(V), k) > _BRUTE_FORCE_LIMIT:
+        raise ValueError(
+            f"C({len(V)}, {k}) exceeds the enumeration guard of {_BRUTE_FORCE_LIMIT}"
+        )
+    best_set: tuple = ()
+    best_value = f.evaluate(())
+    for size in range(1, k + 1):
+        for combo in itertools.combinations(range(len(V)), size):
+            value = f.evaluate(V[i] for i in combo)
+            if value > best_value:
+                best_value = value
+                best_set = combo
+    return [V[i] for i in best_set], best_value
+
+
+def read_report_csv(path) -> dict[tuple[int, str], tuple[float, float]]:
+    """Parse a file written by emit_csv back into {(k, column): (mean, std)}."""
+    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    if lines[0] != CSV_HEADER:
+        raise ValueError(f"{path}: unexpected header {lines[0]!r}")
+    out = {}
+    names = [label for _, label in _CSV_COLUMNS]
+    for line in lines[1:]:
+        fields = line.split(",")
+        k = int(fields[0])
+        for j, label in enumerate(names):
+            mean_s, std_s = fields[1 + 2 * j], fields[2 + 2 * j]
+            if mean_s:
+                out[(k, label)] = (float(mean_s), float(std_s))
+    return out
 
 
 class _BoundedUniformNoise:

@@ -144,6 +144,9 @@ def test_privacy_params_validation():
         PrivacyParams(0.5, 1.5)
     with pytest.raises(ValueError):
         PrivacyParams(0.5, 1e-5, composition="optimal")
+    for epsilon in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            PrivacyParams(epsilon, 1e-3)
     with pytest.warns(UserWarning):
         PrivacyParams(2.0, 1e-5)
 

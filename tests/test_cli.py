@@ -2,7 +2,7 @@ import pytest
 
 from privstream.cli import main
 from privstream.data import load_points_csv
-from privstream.experiment import read_report_csv
+from support import read_report_csv
 
 
 def test_gen_synth_roundtrips(tmp_path):

@@ -11,17 +11,18 @@ from privstream.experiment import (
     METHODS,
     ExperimentConfig,
     _best_singleton,
+    _build_stream,
+    _load_clients,
     _run_nonprivate,
     emit_csv,
     format_eps,
     load_config,
     parse_config_text,
-    read_report_csv,
     run_experiment,
 )
 from privstream.objectives import kmedians_oracle
 from privstream.streaming import build_guess_ladder, threshold_stream_with_tail_fill
-from privstream.submodular import brute_force_opt
+from support import brute_force_opt, read_report_csv
 
 TINY = dict(
     components=2,
@@ -119,6 +120,14 @@ def test_load_config_with_overrides(tmp_path):
     assert cfg.k_values == (2,)
 
 
+def test_override_parse_error_names_the_key(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("k_values = 2\n")
+    for key, raw in (("repetitions", "x"), ("theta", "small"), ("k_values", "2, x")):
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            load_config(path, overrides={key: raw})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(dataset="parquet")
@@ -142,6 +151,10 @@ def test_config_validation():
         ExperimentConfig(k_values=(5, 10, 5))
     with pytest.raises(ValueError, match="epsilon_values"):
         ExperimentConfig(epsilon_values=(0.5, 0.5))
+    # Distinct epsilons with one file label would write one CSV twice.
+    assert format_eps(0.1) == format_eps(0.1000000001)
+    with pytest.raises(ValueError, match="epsilon_values"):
+        ExperimentConfig(epsilon_values=(0.1, 0.1000000001))
     with pytest.raises(ValueError, match="methods"):
         ExperimentConfig(methods=())
     # Out-of-contract privacy inputs fail at construction, not in every
@@ -221,7 +234,10 @@ def test_random_with_k_at_stream_size():
     report = run_experiment(cfg)
     cell = report.cell("random", 9, 0.5)
     assert cell.std_cost == 0.0  # the whole 3x3 grid every time
-    assert cell.mean_retained == 9.0
+    clients = _load_clients(cfg)
+    grid = _build_stream(cfg, clients)
+    assert len(grid) == 9
+    assert cell.mean_cost == kmedians_oracle(clients.points, grid).clustering_cost(grid)
 
 
 def test_nonprivate_approximation_on_small_instance():
@@ -233,7 +249,7 @@ def test_nonprivate_approximation_on_small_instance():
     best_singleton = max(oracle.evaluate([e]) for e in candidates)
     solved = _run_nonprivate(oracle, candidates, cfg, k=3, best_singleton=best_singleton)
     assert list(solved) == [0.5]
-    S, _ = solved[0.5]
+    S = solved[0.5]
     _, opt = brute_force_opt(oracle, candidates, 3)
     assert oracle.evaluate(S) >= (1 - cfg.theta) / 2 * opt
 
@@ -246,14 +262,12 @@ def per_eps_nonprivate(oracle, stream, theta, k, epsilon, best_singleton):
     guesses = build_guess_ladder(E, float(oracle.num_agents), theta)
     best_set: list = []
     best_value = -math.inf
-    retained = 0
     for S in threshold_stream_with_tail_fill(oracle, stream, k, guesses):
-        retained += len(S)
         value = oracle.evaluate(S)
         if value > best_value:
             best_value = value
             best_set = S
-    return best_set, retained
+    return best_set
 
 
 def small_kmedians(seed, clients, candidates, far):

@@ -4,13 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from privstream.objectives import CoverageObjective, coverage_oracle, kmedians_oracle
-from privstream.submodular import (
-    ModularObjective,
-    brute_force_opt,
-    check_submodular_monotone,
-    marginal_gain,
-)
-from support import generate_hard_instance
+from privstream.submodular import check_submodular_monotone, marginal_gain
+from support import ModularObjective, brute_force_opt, generate_hard_instance
 
 
 def test_kmedians_hand_values():

@@ -19,8 +19,7 @@ from privstream.streaming import (
     threshold_stream,
     threshold_stream_with_tail_fill,
 )
-from privstream.submodular import ModularObjective, brute_force_opt
-from support import bounded_noise_utility_check
+from support import ModularObjective, bounded_noise_utility_check, brute_force_opt
 
 
 def zero_source():
@@ -558,6 +557,11 @@ def test_pssm_validation():
     for k in (2.5, 2.0, 0):
         with pytest.raises(ValueError, match="k must"):
             make_cfg(k=k)
+    # A float n_bound used to reach draw_block's integer counter (100.0) or
+    # silently move the ladder floor k ln n / eps (150.5).
+    for n_bound in (100.0, 150.5, -1, math.inf):
+        with pytest.raises(ValueError, match="n_bound"):
+            make_cfg(n_bound=n_bound)
 
 
 def test_pssm_single_pass_and_call_counts():
