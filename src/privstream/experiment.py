@@ -64,6 +64,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown dataset kind {self.dataset!r}")
         if self.dataset == "csv" and not self.csv_path:
             raise ValueError("csv dataset requires csv_path")
+        # Config files parse these with int(); code-built configs get the
+        # same contract.
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and (
+                    isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         if self.max_rows is not None and self.max_rows < 1:
@@ -209,16 +216,17 @@ def _run_nonprivate(oracle, stream, cfg, k, best_singleton):
         for epsilon in cfg.epsilon_values
     }
     union = sorted({O for guesses in ladders.values() for O in guesses})
-    sets = dict(zip(union, threshold_stream_with_tail_fill(oracle, stream, k, union)))
+    sets = threshold_stream_with_tail_fill(oracle, stream, k, union)
+    solved_by_guess = dict(zip(union, zip(sets, sets.values)))
     solved = {}
     for epsilon, guesses in ladders.items():
         best_set: list = []
         best_value = -math.inf
         for O in guesses:
-            value = oracle.evaluate(sets[O])
+            S, value = solved_by_guess[O]
             if value > best_value:
                 best_value = value
-                best_set = sets[O]
+                best_set = S
         solved[epsilon] = best_set
     return solved
 
@@ -345,6 +353,7 @@ def emit_csv(report: RunReport, out_dir, prefix: str = "") -> list[Path]:
 
 
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+_INT_FIELDS = [name for name, kind in _FIELD_TYPES.items() if kind in (int, int | None)]
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 # Optional fields read these words as None; for delta that is 1/|P|^1.5.
 _NONE_WORDS = ("auto", "inverse_n_1p5")

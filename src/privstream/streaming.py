@@ -91,10 +91,17 @@ def threshold_stream_with_tail_fill(f: ObjectiveOracle, V, k: int, guesses) -> l
     the same sequence share one oracle state: bars ascend, so such a group
     is a contiguous run of rungs and the rungs that accept an element are a
     prefix of it. A splitting group's accepting part replays its sequence
-    into a fresh state, which reproduces the per-guess state exactly. When
-    the states declare ``exact_diminishing_returns``, groups are visited
-    from the highest bars down and a group skips its marginal when a group
-    with a subset of its set already measured a gain below all its bars.
+    into a fresh state, which reproduces the per-guess state exactly. While
+    no group can tail-fill, the oracle's ``gain_bounds`` (k-medians has
+    them) bound every group's marginal in one call per element, rebuilt
+    only after an accept, and a group whose bound lies below all its bars
+    rejects without a marginal. When the states declare
+    ``exact_diminishing_returns``, groups are visited from the highest bars
+    down and a group skips its marginal when a group with a subset of its
+    set already measured a gain below all its bars.
+
+    The returned list's ``values`` holds f of each set, read off the pass's
+    states (equal to ``f.evaluate``), so the sweep evaluates no set again.
     """
     _check_k(k)
     guesses = list(guesses)
@@ -111,19 +118,29 @@ def threshold_stream_with_tail_fill(f: ObjectiveOracle, V, k: int, guesses) -> l
     # (first rung, end rung, state); active groups run from highest bars down.
     active = [(0, len(bars), root)]
     full = []
+    bounds = None  # f.gain_bounds of the active groups; reset by every accept
     for i, e in enumerate(V):
         if not active:
             break
         left = len(V) - i
+        caps = None
+        if left > k:  # no group can tail-fill e
+            if bounds is None:
+                bounds = f.gain_bounds([state for _, _, state in active])
+            if bounds is not None:
+                caps = bounds(e)
         # (gain bound, selected set) of groups that rejected e; filled only
         # when skip holds.
         ruled_out = []
         groups = []
-        for lo, hi, state in active:
+        for j, (lo, hi, state) in enumerate(active):
             if left <= k - len(state.selected):
                 if e not in state._selected_set:
                     state.accept(e)
                 groups.append((lo, hi, state))  # full only once V is spent
+                continue
+            if caps is not None and caps[j] < bars[lo]:
+                groups.append((lo, hi, state))
                 continue
             bound = None
             if ruled_out:
@@ -141,6 +158,7 @@ def threshold_stream_with_tail_fill(f: ObjectiveOracle, V, k: int, guesses) -> l
                     ruled_out.append((gain, state._selected_set))
                 groups.append((lo, hi, state))
                 continue
+            bounds = None
             if split < hi:
                 groups.append((split, hi, state))
                 accepted = f.make_state()
@@ -150,11 +168,20 @@ def threshold_stream_with_tail_fill(f: ObjectiveOracle, V, k: int, guesses) -> l
             state.accept(e)
             (full if len(state.selected) >= k else groups).append((lo, split, state))
         active = groups
-    sets: list = [None] * len(bars)
+    sets = _LadderSets([None] * len(bars))
+    sets.values = [None] * len(bars)
     for lo, hi, state in full + active:
+        value = state.value
         for r in range(lo, hi):
             sets[r] = list(state.selected)
+            sets.values[r] = value
     return sets
+
+
+class _LadderSets(list):
+    # threshold_stream_with_tail_fill's sets, one per guess; ``values`` holds
+    # the f of each, as the pass's states read it.
+    values: list
 
 
 class SparseInstance:

@@ -66,6 +66,12 @@ class ObjectiveOracle:
     def make_state(self) -> OracleState:
         return OracleState(self)
 
+    def gain_bounds(self, states):
+        """None, or a function of an element e that returns, for each of
+        ``states`` in order, a float no smaller than ``marginal(e)``,
+        exactly in floating point. It holds until one of the states accepts."""
+        return None
+
 
 class DecomposableObjective(ObjectiveOracle):
     """Objective that is a sum over agents of [0, 1]-bounded submodular terms.

@@ -170,6 +170,20 @@ def test_config_validation():
     assert ExperimentConfig(delta=None, composition="advanced", eta=0.5).delta is None
 
 
+def test_config_rejects_non_integer_int_fields():
+    # A config file parses these with int(); in code, 2.5 repetitions used
+    # to fail every cell, a float grid side died with a bare TypeError and
+    # master_seed=1.5 ran as seed 1.
+    bad = dict(components=2.0, points_per_component=10.5, max_rows=3.5, grid_side=3.0,
+               repetitions=2.5, master_seed=1.5)
+    for name, value in bad.items():
+        for wrong in (value, "3", True):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                ExperimentConfig(**{name: wrong})
+    cfg = ExperimentConfig(components=np.int64(2), max_rows=None, master_seed=-3)
+    assert (cfg.components, cfg.max_rows, cfg.master_seed) == (2, None, -3)
+
+
 def test_degenerate_instance_fails_every_cell_not_the_sweep():
     # One client makes every grid point coincide with it, so G = 0 and any
     # oracle value raises; the best-singleton scan must fail inside a cell.

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from privstream.objectives import CoverageObjective, coverage_oracle, kmedians_oracle
+from privstream.objectives import (
+    CoverageObjective,
+    _max_pairwise_l1,
+    coverage_oracle,
+    kmedians_oracle,
+)
 from privstream.submodular import check_submodular_monotone, marginal_gain
 from support import ModularObjective, brute_force_opt, generate_hard_instance
 
@@ -148,6 +153,81 @@ def test_coverage_state_value_equals_evaluate(records, picks):
 def test_generic_state_value_equals_evaluate(weights, picks):
     f = ModularObjective(dict(enumerate(weights)))
     _state_value_is_exact(f, [p % len(weights) for p in picks])
+
+
+def _assert_buckets_partition_clients(f):
+    order, starts = f._bucket_order, f._bucket_starts
+    counts = f._bucket_counts.astype(int)
+    assert sorted(order.tolist()) == list(range(f.num_agents))
+    assert starts.tolist() == np.concatenate([[0], np.cumsum(counts)[:-1]]).tolist()
+    for b, (start, count) in enumerate(zip(starts, counts)):
+        members = f.clients[order[start:start + count]]
+        assert (f._bucket_low[:, b] <= members).all()
+        assert (members <= f._bucket_high[:, b]).all()
+
+
+@given(
+    layout=st.sampled_from(["scatter", "vertical", "horizontal", "single"]),
+    clients=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=40),
+    candidates=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=8),
+    coincide=st.booleans(),
+    tight=st.booleans(),
+    picks=st.lists(st.lists(st.integers(0, 11), max_size=6), min_size=1, max_size=4),
+)
+@example(layout="single", clients=[(1.0, 2.0)], candidates=[(1.0, 2.0), (4.0, -3.0)],
+         coincide=False, tight=True, picks=[[], [0], [0, 0], [1, 0, 1]])
+@example(layout="vertical", clients=[(0.5, 0.0), (0.0, 7.25), (0.0, -3.0)],
+         candidates=[(0.5, 1.0), (-2.0, 7.25)], coincide=True, tight=True,
+         picks=[[0, 0], [2, 3, 2], []])
+@settings(max_examples=200, deadline=None)
+def test_kmedians_gain_bounds_never_fall_below_a_marginal(layout, clients, candidates,
+                                                          coincide, tight, picks):
+    # No tolerance: each state's bound must be >= the marginal it computes,
+    # including for elements it holds (gain 0) or accepted twice.
+    if layout == "vertical":
+        clients = [(clients[0][0], y) for _, y in clients]
+    elif layout == "horizontal":
+        clients = [(x, clients[0][1]) for x, _ in clients]
+    elif layout == "single":
+        clients = clients[:1]
+    if coincide:
+        candidates = candidates + clients[:4]
+    required = _max_pairwise_l1(np.asarray(clients, dtype=float),
+                                np.asarray(candidates, dtype=float))
+    if not required > 1e-9:
+        return  # G would be 0 or below: see test_kmedians_degenerate_normalizer
+    f = kmedians_oracle(clients, candidates, required - 1e-9 if tight else None)
+    _assert_buckets_partition_clients(f)
+    states = []
+    for sequence in picks:
+        state = f.make_state()
+        for i in sequence:
+            state.accept(f.candidates[i % len(f.candidates)])
+        states.append(state)
+    bound = f.gain_bounds(states)
+    for e in f.candidates + [tuple(p) for p in clients]:
+        caps = bound(e)
+        assert len(caps) == len(states)
+        for cap, state in zip(caps, states):
+            assert cap >= state.marginal(e)
+
+
+def test_kmedians_degenerate_oracles_build_their_buckets():
+    # A zero span on one or both axes puts every client in one cell along
+    # it; building never divides by it, nor overflows on a subnormal span.
+    # One client gives G = 0 too, and then the bounds raise like every
+    # other value.
+    for clients in ([[0.0, 0.0]], [[2.0, y] for y in range(5)],
+                    [[x, -1.0] for x in range(5)], [[3.0, 3.0]] * 4,
+                    [[0.0, 0.0], [1e-308, 5e-324], [5e-309, 0.0]]):
+        f = kmedians_oracle(clients, [(0.0, 0.0)])
+        _assert_buckets_partition_clients(f)
+    f = kmedians_oracle([[0.0, 0.0]], [(0.0, 0.0)])
+    assert f.normalizer == 0.0
+    assert len(f._bucket_counts) == 1
+    bound = f.gain_bounds([f.make_state()])
+    with pytest.raises(ValueError, match="normalizer is 0"):
+        bound((0.0, 0.0))
 
 
 def test_kmedians_cost_identity():

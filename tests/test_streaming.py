@@ -212,6 +212,38 @@ def test_ladder_makes_fewer_marginal_calls_than_per_guess_passes():
     ladder_calls, calls[0] = calls[0], 0
     assert sets == [per_guess_tail_fill(f, f.candidates, k, O) for O in guesses]
     assert ladder_calls < calls[0]
+    # Without the oracle's gain bounds the ladder computes more marginals
+    # and selects the same sets.
+    per_guess_calls, calls[0] = calls[0], 0
+    f.gain_bounds = lambda states: None
+    assert threshold_stream_with_tail_fill(f, f.candidates, k, guesses) == sets
+    assert ladder_calls < calls[0] < per_guess_calls
+
+
+@given(
+    clients=st.lists(st.tuples(st.floats(0, 20), st.floats(0, 20)), min_size=1, max_size=60),
+    candidates=st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)), min_size=1,
+                        max_size=12, unique=True),
+    picks=st.lists(st.integers(0, 11), min_size=1, max_size=16),
+    surplus=st.integers(-2, 6),
+    fracs=st.lists(st.floats(0.001, 1.5), min_size=1, max_size=12),
+)
+@settings(max_examples=150, deadline=None)
+def test_ladder_with_gain_bounds_matches_per_guess_passes(clients, candidates, picks, surplus,
+                                                          fracs):
+    # |V| - k from -2 to 6: the gain bounds apply only while more than k
+    # elements are left, so streams shorter than, equal to and just longer
+    # than k cross that boundary.
+    V = [candidates[i % len(candidates)] for i in picks]  # repeats allowed
+    k = max(1, len(V) - surplus)
+    f = kmedians_oracle(np.array(clients), candidates)
+    if f.normalizer == 0:
+        return  # every point coincides: no value exists
+    top = max(f.evaluate([e]) for e in V) or 1.0
+    guesses = sorted(2 * k * top * x for x in fracs)
+    sets = threshold_stream_with_tail_fill(f, V, k, guesses)
+    assert sets == [per_guess_tail_fill(f, V, k, O) for O in guesses]
+    assert sets.values == [f.evaluate(S) for S in sets]
 
 
 def test_ladder_validation():
