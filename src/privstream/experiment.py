@@ -110,7 +110,7 @@ class CellStats:
 
     ``wall_time_s`` is the cell's own time, except that the first
     non-private cell to need them also times the sweep's best-singleton
-    scan and each stream order's pass shared by every epsilon of its k.
+    scan and each stream order's pass, which every (k, epsilon) shares.
     """
 
     method: str
@@ -199,35 +199,39 @@ def _best_singleton(oracle, stream, needed):
     return best
 
 
-def _run_nonprivate(oracle, stream, cfg, k, best_singleton):
-    """Solve the non-private baseline of every epsilon for one stream order.
+def _run_nonprivate(oracle, stream, cfg, best_singleton):
+    """Solve the non-private baseline of every (k, epsilon) for one stream
+    order.
 
-    Each epsilon's ladder starts at E = min(best singleton, k ln n / eps,
-    m/2); the best-singleton cap gives it at least as many rungs as the
-    private runs. Epsilon moves only E, so one threshold pass over the
-    union of the ladders' guesses serves them all. Returns
-    ``{epsilon: best set}``: each epsilon takes the argmax of its own
-    ladder's sets, first wins in ascending order.
+    Each (k, epsilon) ladder starts at E = min(best singleton,
+    k ln n / eps, m/2); the best-singleton cap gives it at least as many
+    rungs as the private runs. Epsilon moves only E, so one threshold pass
+    over the union of a k's ladders serves every epsilon, and one call of
+    ``threshold_stream_with_tail_fill`` runs every k's union in the same
+    pass. Returns ``{(k, epsilon): best set}``: each (k, epsilon) takes the
+    argmax of its own ladder's sets, first wins in ascending order.
     """
     n, m = len(stream), float(oracle.num_agents)
     ladders = {
-        epsilon: build_guess_ladder(min(best_singleton, ladder_floor(k, epsilon, n, m)),
-                                    m, cfg.theta)
-        for epsilon in cfg.epsilon_values
+        (k, epsilon): build_guess_ladder(
+            min(best_singleton, ladder_floor(k, epsilon, n, m)), m, cfg.theta)
+        for k in cfg.k_values for epsilon in cfg.epsilon_values
     }
-    union = sorted({O for guesses in ladders.values() for O in guesses})
-    sets = threshold_stream_with_tail_fill(oracle, stream, k, union)
-    solved_by_guess = dict(zip(union, zip(sets, sets.values)))
+    unions = {k: sorted({O for epsilon in cfg.epsilon_values for O in ladders[k, epsilon]})
+              for k in cfg.k_values}
+    ladder_sets = threshold_stream_with_tail_fill(oracle, stream, unions)
+    solved_by_guess = {(k, O): solved for k, sets in ladder_sets.items()
+                       for O, solved in zip(unions[k], zip(sets, sets.values))}
     solved = {}
-    for epsilon, guesses in ladders.items():
+    for (k, epsilon), guesses in ladders.items():
         best_set: list = []
         best_value = -math.inf
         for O in guesses:
-            S, value = solved_by_guess[O]
+            S, value = solved_by_guess[k, O]
             if value > best_value:
                 best_value = value
                 best_set = S
-        solved[epsilon] = best_set
+        solved[k, epsilon] = best_set
     return solved
 
 
@@ -260,7 +264,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     needed = max(ladder_floor(k, epsilon, len(stream), oracle.num_agents)
                  for k in cfg.k_values for epsilon in cfg.epsilon_values)
     best_singleton = None
-    # (k, stream order) -> {epsilon: set} of the non-private pass.
+    # stream order -> {(k, epsilon): set} of the non-private pass.
     nonprivate = {}
     for method in METHODS:
         if method not in cfg.methods:
@@ -277,15 +281,15 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                         seed = derive_seed(cfg.master_seed, method_idx, k_idx, eps_idx, rep)
                         if method == "nonprivate":
                             # Deterministic given data and order: one pass
-                            # per stream order serves every epsilon, and
-                            # without shuffling every repetition too.
-                            order = (k, rep if cfg.shuffle_stream else 0)
+                            # per stream order serves every (k, epsilon),
+                            # and without shuffling every repetition too.
+                            order = rep if cfg.shuffle_stream else 0
                             if order not in nonprivate:
                                 if best_singleton is None:
                                     best_singleton = _best_singleton(oracle, stream, needed)
                                 nonprivate[order] = _run_nonprivate(
-                                    oracle, rep_stream, cfg, k, best_singleton)
-                            S = nonprivate[order][epsilon]
+                                    oracle, rep_stream, cfg, best_singleton)
+                            S = nonprivate[order][k, epsilon]
                         elif method == "random":
                             S = _run_random(rep_stream, k, seed)
                         else:

@@ -111,8 +111,9 @@ class KMediansObjective(DecomposableObjective):
     normalizer: public constant G >= every client-candidate distance; defaults
         to the L1 diameter of the joint bounding box. Distances are capped at
         G, so a G inside the 1e-9 slack below the largest distance still
-        keeps every utility in [0, 1]. G must be finite; G = 0 (every point
-        coincides) leaves every utility 0/0, so asking for any value raises.
+        keeps every utility in [0, 1]. G must be finite and >= 0; G = 0
+        (every point coincides) leaves every utility 0/0, so asking for any
+        value raises.
     """
 
     def __init__(self, clients, candidates, normalizer: float | None = None):
@@ -134,6 +135,8 @@ class KMediansObjective(DecomposableObjective):
             normalizer = bounding_box_l1_diameter(np.vstack([clients, cand_arr]))
         if not math.isfinite(normalizer):
             raise ValueError(f"normalizer must be finite, got {normalizer}")
+        if normalizer < 0:
+            raise ValueError(f"normalizer must be >= 0, got {normalizer}")
         if normalizer < required - 1e-9:
             raise ValueError(
                 f"normalizer {normalizer} is below the maximum client-candidate "
@@ -230,10 +233,10 @@ class KMediansObjective(DecomposableObjective):
         counts = self._bucket_counts
         normalizer = self.normalizer
 
-        def bound(e) -> list:
+        def bound(e) -> np.ndarray:
             gaps = ceilings - self._floors(e)
             np.maximum(gaps, 0.0, out=gaps)
-            return (gaps @ counts / normalizer * (1.0 + 1e-9)).tolist()
+            return gaps @ counts / normalizer * (1.0 + 1e-9)
 
         return bound
 

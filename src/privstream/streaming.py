@@ -15,6 +15,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 from .accounting import BudgetSplit, PrivacyParams, split_budget
 from .noise import GUMBEL, LAPLACE, ZERO_FOR_TEST, NoiseSource, draw_block, private_argmax
 from .submodular import ObjectiveOracle
@@ -78,110 +80,127 @@ def threshold_stream(f: ObjectiveOracle, V, k: int, O: float) -> list:
     return state.selected
 
 
-def threshold_stream_with_tail_fill(f: ObjectiveOracle, V, k: int, guesses) -> list[list]:
-    """Noiseless threshold passes for an ascending ladder of guesses, run in
-    one pass over V; returns one set per guess.
+def threshold_stream_with_tail_fill(f: ObjectiveOracle, V, ladders) -> dict[int, list[list]]:
+    """Noiseless threshold passes for every k's ascending ladder of guesses,
+    all run in one pass over V; returns ``{k: sets}``, one set per guess.
 
-    Each guess O accepts e while |S| < k and f(e|S) >= O/(2k), and tops its
-    set up to k from the stream tail: once the elements left no longer
-    exceed the free slots, every remaining element is accepted outright.
-    Only sensible without noise; the sweep's non-private baseline uses it.
+    ``ladders`` maps each cardinality k to its ascending guesses. Each guess
+    O of k accepts e while |S| < k and f(e|S) >= O/(2k), and tops its set up
+    to k from the stream tail: once the elements left no longer exceed the
+    free slots, every remaining element is accepted outright. Only sensible
+    without noise; the sweep's non-private baseline uses it.
 
-    The sets equal those of separate per-guess passes. Rungs that accepted
-    the same sequence share one oracle state: bars ascend, so such a group
-    is a contiguous run of rungs and the rungs that accept an element are a
-    prefix of it. A splitting group's accepting part replays its sequence
-    into a fresh state, which reproduces the per-guess state exactly. While
-    no group can tail-fill, the oracle's ``gain_bounds`` (k-medians has
-    them) bound every group's marginal in one call per element, rebuilt
-    only after an accept, and a group whose bound lies below all its bars
-    rejects without a marginal. When the states declare
-    ``exact_diminishing_returns``, groups are visited from the highest bars
-    down and a group skips its marginal when a group with a subset of its
-    set already measured a gain below all its bars.
+    The sets equal those of separate per-guess passes. Rungs of one k that
+    accepted the same sequence share one oracle state: bars ascend, so such
+    a group is a contiguous run of rungs and the rungs that accept an
+    element are a prefix of it. A splitting group's accepting part replays
+    its sequence into a fresh state, which reproduces the per-guess state
+    exactly. Each k starts from its own empty state, since a group that
+    accepts as a whole changes its state in place. While more elements are
+    left than the largest k (so no group can tail-fill), the oracle's
+    ``gain_bounds`` (k-medians has them) bound every k's groups' marginals
+    in one call per element, rebuilt only after an accept, and a group
+    whose bound lies below all its bars rejects without a marginal. When the
+    states declare ``exact_diminishing_returns``, each k's groups are
+    visited from the highest bars down and a group of any k skips its
+    marginal when a group with a subset of its set already measured a gain
+    below all its bars.
 
-    The returned list's ``values`` holds f of each set, read off the pass's
+    Each k's list of sets has ``values``, f of each set read off the pass's
     states (equal to ``f.evaluate``), so the sweep evaluates no set again.
     """
-    _check_k(k)
-    guesses = list(guesses)
-    if not guesses:
-        raise ValueError("guesses must be non-empty")
-    if not all(O > 0 for O in guesses):
-        raise ValueError(f"guesses must be positive, got {guesses}")
-    if any(b < a for a, b in zip(guesses, guesses[1:])):
-        raise ValueError(f"guesses must ascend, got {guesses}")
-    bars = [O / (2.0 * k) for O in guesses]
+    bars = {}
+    for k, guesses in ladders.items():
+        _check_k(k)
+        guesses = list(guesses)
+        if not guesses:
+            raise ValueError(f"guesses of k={k} must be non-empty")
+        if not all(O > 0 for O in guesses):
+            raise ValueError(f"guesses of k={k} must be positive, got {guesses}")
+        if any(b < a for a, b in zip(guesses, guesses[1:])):
+            raise ValueError(f"guesses of k={k} must ascend, got {guesses}")
+        bars[k] = [O / (2.0 * k) for O in guesses]
+    if not bars:
+        raise ValueError("ladders must map at least one k to its guesses")
     V = list(V)
-    root = f.make_state()
-    skip = root.exact_diminishing_returns
-    # (first rung, end rung, state); active groups run from highest bars down.
-    active = [(0, len(bars), root)]
+    bounded = len(V) - max(bars)  # elements with no group able to tail-fill
+    # (k, first rung, end rung, state) of the active groups.
+    active = [(k, 0, len(k_bars), f.make_state()) for k, k_bars in bars.items()]
+    skip = active[0][3].exact_diminishing_returns
     full = []
-    bounds = None  # f.gain_bounds of the active groups; reset by every accept
+    # (f.gain_bounds of the active groups, their lowest bars); reset by
+    # every accept.
+    bounds = None
     for i, e in enumerate(V):
         if not active:
             break
         left = len(V) - i
-        caps = None
-        if left > k:  # no group can tail-fill e
+        visit = range(len(active))
+        if i < bounded:
             if bounds is None:
-                bounds = f.gain_bounds([state for _, _, state in active])
-            if bounds is not None:
-                caps = bounds(e)
+                bounds = (f.gain_bounds([state for _, _, _, state in active]),
+                          np.array([bars[k][lo] for k, lo, _, _ in active]))
+            gain_bound, lowest = bounds
+            if gain_bound is not None:
+                # Only groups whose bound reaches their lowest bar may accept.
+                visit = np.flatnonzero(~(gain_bound(e) < lowest)).tolist()
         # (gain bound, selected set) of groups that rejected e; filled only
         # when skip holds.
         ruled_out = []
         groups = []
-        for j, (lo, hi, state) in enumerate(active):
+        done = 0  # active[:done] is settled for e
+        for j in visit:
+            groups += active[done:j]
+            done = j + 1
+            k, lo, hi, state = active[j]
             if left <= k - len(state.selected):
                 if e not in state._selected_set:
                     state.accept(e)
-                groups.append((lo, hi, state))  # full only once V is spent
+                groups.append((k, lo, hi, state))  # full only once V is spent
                 continue
-            if caps is not None and caps[j] < bars[lo]:
-                groups.append((lo, hi, state))
-                continue
+            k_bars = bars[k]
             bound = None
             if ruled_out:
                 for g, sub in reversed(ruled_out):
-                    if g < bars[lo] and sub <= state._selected_set:
+                    if g < k_bars[lo] and sub <= state._selected_set:
                         bound = g
                         break
             if bound is None:
                 gain = state.marginal(e)
-                split = bisect.bisect_right(bars, gain, lo, hi)
+                split = bisect.bisect_right(k_bars, gain, lo, hi)
             else:
                 gain, split = bound, lo
             if split == lo:
                 if skip:
                     ruled_out.append((gain, state._selected_set))
-                groups.append((lo, hi, state))
+                groups.append((k, lo, hi, state))
                 continue
             bounds = None
             if split < hi:
-                groups.append((split, hi, state))
+                groups.append((k, split, hi, state))
                 accepted = f.make_state()
                 for x in state.selected:
                     accepted.accept(x)
                 state = accepted
             state.accept(e)
-            (full if len(state.selected) >= k else groups).append((lo, split, state))
-        active = groups
-    sets = _LadderSets([None] * len(bars))
-    sets.values = [None] * len(bars)
-    for lo, hi, state in full + active:
+            (full if len(state.selected) >= k else groups).append((k, lo, split, state))
+        active = groups + active[done:]
+    ladder_sets = {k: _LadderSets(len(k_bars)) for k, k_bars in bars.items()}
+    for k, lo, hi, state in full + active:
+        sets = ladder_sets[k]
         value = state.value
         for r in range(lo, hi):
             sets[r] = list(state.selected)
             sets.values[r] = value
-    return sets
+    return ladder_sets
 
 
 class _LadderSets(list):
-    # threshold_stream_with_tail_fill's sets, one per guess; ``values`` holds
-    # the f of each, as the pass's states read it.
-    values: list
+    # One k's sets from threshold_stream_with_tail_fill, one per guess;
+    # ``values`` holds the f of each, as the pass's states read it.
+    def __init__(self, rungs: int):
+        super().__init__([None] * rungs)
+        self.values = [None] * rungs
 
 
 class SparseInstance:

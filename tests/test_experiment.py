@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privstream import experiment
 from privstream.experiment import (
     CSV_HEADER,
     METHODS,
@@ -14,6 +15,7 @@ from privstream.experiment import (
     _build_stream,
     _load_clients,
     _run_nonprivate,
+    _stream_for_rep,
     emit_csv,
     format_eps,
     load_config,
@@ -261,22 +263,22 @@ def test_nonprivate_approximation_on_small_instance():
     oracle = kmedians_oracle(clients, candidates)
     cfg = ExperimentConfig(k_values=(3,), epsilon_values=(0.5,), theta=0.2)
     best_singleton = max(oracle.evaluate([e]) for e in candidates)
-    solved = _run_nonprivate(oracle, candidates, cfg, k=3, best_singleton=best_singleton)
-    assert list(solved) == [0.5]
-    S = solved[0.5]
+    solved = _run_nonprivate(oracle, candidates, cfg, best_singleton=best_singleton)
+    assert list(solved) == [(3, 0.5)]
+    S = solved[3, 0.5]
     _, opt = brute_force_opt(oracle, candidates, 3)
     assert oracle.evaluate(S) >= (1 - cfg.theta) / 2 * opt
 
 
 def per_eps_nonprivate(oracle, stream, theta, k, epsilon, best_singleton):
-    # The non-private solve of one epsilon as a separate pass over its own
-    # ladder: the reference the merged pass must reproduce.
+    # The non-private solve of one (k, epsilon) as a separate pass over its
+    # own ladder: the reference the merged pass must reproduce.
     n = len(stream)
     E = min(best_singleton, k * math.log(max(n, 2)) / epsilon, oracle.num_agents / 2.0)
     guesses = build_guess_ladder(E, float(oracle.num_agents), theta)
     best_set: list = []
     best_value = -math.inf
-    for S in threshold_stream_with_tail_fill(oracle, stream, k, guesses):
+    for S in threshold_stream_with_tail_fill(oracle, stream, {k: guesses})[k]:
         value = oracle.evaluate(S)
         if value > best_value:
             best_value = value
@@ -294,13 +296,14 @@ def small_kmedians(seed, clients, candidates, far):
     return oracle, stream, max(oracle.evaluate([e]) for e in stream)
 
 
-def assert_merged_matches_per_eps(oracle, stream, best_singleton, k, epsilons, theta):
-    cfg = ExperimentConfig(k_values=(k,), epsilon_values=tuple(epsilons), theta=theta)
-    solved = _run_nonprivate(oracle, stream, cfg, k, best_singleton)
-    assert list(solved) == list(epsilons)
-    for epsilon in epsilons:
-        assert solved[epsilon] == per_eps_nonprivate(oracle, stream, theta, k, epsilon,
-                                                     best_singleton), epsilon
+def assert_merged_matches_per_eps(oracle, stream, best_singleton, ks, epsilons, theta):
+    cfg = ExperimentConfig(k_values=tuple(ks), epsilon_values=tuple(epsilons), theta=theta)
+    solved = _run_nonprivate(oracle, stream, cfg, best_singleton)
+    assert list(solved) == [(k, epsilon) for k in ks for epsilon in epsilons]
+    for k in ks:
+        for epsilon in epsilons:
+            assert solved[k, epsilon] == per_eps_nonprivate(oracle, stream, theta, k, epsilon,
+                                                            best_singleton), (k, epsilon)
 
 
 @given(
@@ -308,15 +311,18 @@ def assert_merged_matches_per_eps(oracle, stream, best_singleton, k, epsilons, t
     clients=st.integers(5, 40),
     candidates=st.integers(2, 12),
     far=st.booleans(),
-    k=st.integers(1, 4),
-    epsilons=st.lists(st.floats(0.01, 20.0), min_size=1, max_size=4, unique=True),
+    ks=st.lists(st.integers(1, 13), min_size=1, max_size=3, unique=True),
+    # Distinct file labels: a config rejects two epsilons that share one.
+    epsilons=st.lists(st.floats(0.01, 20.0), min_size=1, max_size=4, unique_by=format_eps),
     theta=st.sampled_from([0.1, 0.2, 0.5, 0.9]),
 )
 @settings(max_examples=60, deadline=None)
-def test_merged_nonprivate_pass_matches_per_eps_passes(seed, clients, candidates, far, k,
+def test_merged_nonprivate_pass_matches_per_eps_passes(seed, clients, candidates, far, ks,
                                                        epsilons, theta):
+    # k reaches past the stream's 2-12 candidates, where the tail fill
+    # takes every element.
     oracle, stream, best_singleton = small_kmedians(seed, clients, candidates, far)
-    assert_merged_matches_per_eps(oracle, stream, best_singleton, k, epsilons, theta)
+    assert_merged_matches_per_eps(oracle, stream, best_singleton, ks, epsilons, theta)
 
 
 def test_merged_nonprivate_pass_covers_each_ladder_end():
@@ -327,12 +333,40 @@ def test_merged_nonprivate_pass_covers_each_ladder_end():
     assert best_singleton < m / 2.0
     capped = k * math.log(n) / (2.0 * best_singleton)  # E = best singleton
     halved = k * math.log(n) / (0.5 * best_singleton)  # E = k ln n / eps
-    assert_merged_matches_per_eps(oracle, stream, best_singleton, k, [halved, 20.0, capped], 0.2)
+    assert_merged_matches_per_eps(oracle, stream, best_singleton, [k], [halved, 20.0, capped], 0.2)
     # Near clients the best singleton exceeds m/2, so a small epsilon's
     # ladder shrinks to its shortest form, {m/2, ..., m}.
     oracle, stream, best_singleton = small_kmedians(5, 30, 8, far=False)
     assert best_singleton >= oracle.num_agents / 2.0
-    assert_merged_matches_per_eps(oracle, stream, best_singleton, k, [1.0, 1e-6], 0.9)
+    assert_merged_matches_per_eps(oracle, stream, best_singleton, [k, 5], [1.0, 1e-6], 0.9)
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_one_nonprivate_pass_per_stream_order(monkeypatch, shuffle):
+    # One pass serves every (k, epsilon) of a stream order; without
+    # shuffling, every repetition streams one order and shares one pass.
+    passes = []
+    one_pass = experiment.threshold_stream_with_tail_fill
+
+    def counted(f, V, ladders):
+        passes.append(list(ladders))
+        return one_pass(f, V, ladders)
+
+    monkeypatch.setattr(experiment, "threshold_stream_with_tail_fill", counted)
+    cfg = ExperimentConfig(**{**TINY, "epsilon_values": (0.5, 2.0), "methods": ("nonprivate",),
+                              "shuffle_stream": shuffle})
+    report = run_experiment(cfg)
+    assert passes == [list(cfg.k_values)] * (cfg.repetitions if shuffle else 1)
+    clients = _load_clients(cfg)
+    stream = _build_stream(cfg, clients)
+    oracle = kmedians_oracle(clients.points, stream)
+    best_singleton = max(oracle.evaluate([e]) for e in stream)
+    for k in cfg.k_values:
+        for epsilon in cfg.epsilon_values:
+            costs = [oracle.clustering_cost(per_eps_nonprivate(
+                oracle, _stream_for_rep(cfg, stream, rep), cfg.theta, k, epsilon, best_singleton))
+                for rep in range(cfg.repetitions)]
+            assert report.cell("nonprivate", k, epsilon).mean_cost == np.mean(costs)
 
 
 def test_best_singleton_stops_once_no_cap_can_bind():

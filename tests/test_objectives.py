@@ -41,6 +41,9 @@ def test_kmedians_degenerate_normalizer():
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             kmedians_oracle([(0.0, 0.0)], [(3.0, 4.0)], normalizer=bad)
+    # Within the 1e-9 slack of the 1e-10 distance, yet negative.
+    with pytest.raises(ValueError, match="-5e-10"):
+        kmedians_oracle([(0, 0)], [(1e-10, 0)], normalizer=-5e-10)
     with pytest.raises(ValueError, match="finite"):
         kmedians_oracle([(0.0, np.inf)], [(3.0, 4.0)])
     with pytest.raises(ValueError, match="finite"):

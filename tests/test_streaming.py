@@ -107,11 +107,11 @@ def test_threshold_stream_edge_cases():
 
 def test_tail_fill_tops_up():
     f = ModularObjective({i: 0.01 for i in range(6)})
-    [S] = threshold_stream_with_tail_fill(f, list(range(6)), 3, [100.0])
-    assert S == [3, 4, 5]  # nothing passes, the last 3 fill the set
+    # Nothing passes, the last 3 fill the set.
+    assert threshold_stream_with_tail_fill(f, list(range(6)), {3: [100.0]}) == {3: [[3, 4, 5]]}
     g = ModularObjective({0: 9.0, 1: 0.01, 2: 0.01, 3: 0.01})
-    [S] = threshold_stream_with_tail_fill(g, [0, 1, 2, 3], 2, [10.0])
-    assert S == [0, 3]  # 0 passes, the tail provides the filler
+    # 0 passes, the tail provides the filler.
+    assert threshold_stream_with_tail_fill(g, [0, 1, 2, 3], {2: [10.0]}) == {2: [[0, 3]]}
 
 
 def per_guess_tail_fill(f, V, k, O):
@@ -130,10 +130,27 @@ def per_guess_tail_fill(f, V, k, O):
     return state.selected
 
 
-def assert_ladder_matches_per_guess(f, V, k, guesses):
-    sets = threshold_stream_with_tail_fill(f, V, k, guesses)
-    assert sets == [per_guess_tail_fill(f, V, k, O) for O in guesses]
-    return sets
+def assert_ladder_matches_per_guess(f, V, ladders):
+    # One pass over every k's ladder against a separate pass per (k, guess).
+    ladder_sets = threshold_stream_with_tail_fill(f, V, ladders)
+    assert list(ladder_sets) == list(ladders)
+    for k, guesses in ladders.items():
+        sets = ladder_sets[k]
+        assert sets == [per_guess_tail_fill(f, V, k, O) for O in guesses], k
+        assert sets.values == [f.evaluate(S) for S in sets], k
+    return ladder_sets
+
+
+# Two or three distinct k per pass, from 1 up to past |V| (up to 16
+# elements), where the tail fill starts at the first element.
+several_k = st.lists(st.integers(1, 18), min_size=2, max_size=3, unique=True)
+# One fraction list per k; each guess is 2k * (best singleton) * fraction.
+per_k_fracs = st.lists(st.lists(st.floats(0.001, 1.5), min_size=1, max_size=12),
+                       min_size=3, max_size=3)
+
+
+def fracs_ladders(ks, fracs, top):
+    return {k: sorted(2 * k * top * x for x in k_fracs) for k, k_fracs in zip(ks, fracs)}
 
 
 @given(
@@ -141,54 +158,55 @@ def assert_ladder_matches_per_guess(f, V, k, guesses):
     candidates=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1,
                         max_size=10, unique=True),
     picks=st.lists(st.integers(0, 9), min_size=1, max_size=16),
-    k_extra=st.integers(-16, 1),
-    fracs=st.lists(st.floats(0.001, 1.5), min_size=1, max_size=12),
+    ks=several_k,
+    fracs=per_k_fracs,
 )
 @settings(max_examples=150, deadline=None)
-def test_ladder_matches_per_guess_passes_kmedians(clients, candidates, picks, k_extra, fracs):
+def test_ladder_matches_per_guess_passes_kmedians(clients, candidates, picks, ks, fracs):
     V = [candidates[i % len(candidates)] for i in picks]  # repeats allowed
-    k = max(1, len(V) + k_extra)  # up to |V| + 1, so the tail fill fires
     f = kmedians_oracle(np.array(clients, dtype=float), candidates, normalizer=30.0)
     top = max(f.evaluate([e]) for e in V)
-    guesses = sorted(2 * k * top * x for x in fracs)
-    assert_ladder_matches_per_guess(f, V, k, guesses)
+    assert_ladder_matches_per_guess(f, V, fracs_ladders(ks, fracs, top))
 
 
 @given(
     records=st.lists(st.integers(0, 6), min_size=1, max_size=30),
     V=st.lists(st.integers(0, 8), min_size=1, max_size=16),
-    k=st.integers(1, 17),
-    bars=st.lists(st.one_of(st.integers(1, 8), st.floats(0.01, 9.0)), min_size=1, max_size=10),
+    ks=several_k,
+    bars=st.lists(st.lists(st.one_of(st.integers(1, 8), st.floats(0.01, 9.0)),
+                           min_size=1, max_size=10), min_size=3, max_size=3),
 )
 @settings(max_examples=150, deadline=None)
-def test_ladder_matches_per_guess_passes_coverage(records, V, k, bars):
-    # Integer bars equal some gains exactly: the >= tie.
+def test_ladder_matches_per_guess_passes_coverage(records, V, ks, bars):
+    # Integer bars equal some gains exactly: the >= tie. Coverage has no
+    # gain bounds, so only shared states and the subset skip act.
     f = coverage_oracle(records)
-    assert_ladder_matches_per_guess(f, V, k, sorted(2.0 * k * b for b in bars))
+    assert_ladder_matches_per_guess(
+        f, V, {k: sorted(2.0 * k * b for b in k_bars) for k, k_bars in zip(ks, bars)})
 
 
 def test_ladder_edge_cases():
     # bar == gain exactly: bars 1, 2, 3 against gains 1 (label 2), 2 (1), 3 (0).
     f = coverage_oracle([0, 0, 0, 1, 1, 2])
-    sets = assert_ladder_matches_per_guess(f, [2, 1, 0, 3], 2, [4.0, 8.0, 12.0])
-    assert sets == [[2, 1], [1, 0], [0, 3]]  # the last rung's 3 is tail fill
+    sets = assert_ladder_matches_per_guess(f, [2, 1, 0, 3], {2: [4.0, 8.0, 12.0]})
+    assert sets == {2: [[2, 1], [1, 0], [0, 3]]}  # the last rung's 3 is tail fill
     # A repeated element: its second copy gains 0 and the tail fill skips it.
     g = coverage_oracle([0, 0, 1])
-    sets = assert_ladder_matches_per_guess(g, [0, 1, 0, 0], 3, [0.6, 60.0])
-    assert sets == [[0, 1], [1, 0]]
+    sets = assert_ladder_matches_per_guess(g, [0, 1, 0, 0], {3: [0.6, 60.0]})
+    assert sets == {3: [[0, 1], [1, 0]]}
     # A higher rung rules a lower one out only from a subset of its set. At
     # (11, 0) the bar-2.5 rung holds (5, 2) and gains 0.27 < 0.75, while the
     # bar-0.75 rung holds (0, 10) instead and gains 0.87.
     h = kmedians_oracle(np.array([[12.0, 2.0], [8.0, 12.0], [0.0, 2.0], [12.0, 6.0]]),
                         [(11, 0), (0, 10), (5, 2)], normalizer=30.0)
-    sets = assert_ladder_matches_per_guess(h, [(0, 10), (5, 2), (11, 0), (0, 10)], 2, [3.0, 10.0])
-    assert sets == [[(0, 10), (11, 0)], [(5, 2), (0, 10)]]
+    sets = assert_ladder_matches_per_guess(h, [(0, 10), (5, 2), (11, 0), (0, 10)], {2: [3.0, 10.0]})
+    assert sets == {2: [[(0, 10), (11, 0)], [(5, 2), (0, 10)]]}
     # k close to |V| on k-medians: every rung fills up, and the top rung
     # (bar 30 = |P|) clears nothing, so the tail fill supplies all of it.
     rng = np.random.default_rng(5)
     h = kmedians_oracle(rng.uniform(0, 10, size=(30, 2)),
                         [tuple(p) for p in rng.uniform(0, 10, size=(8, 2))])
-    sets = assert_ladder_matches_per_guess(h, h.candidates, 7, [1.0, 5.0, 40.0, 420.0])
+    [sets] = assert_ladder_matches_per_guess(h, h.candidates, {7: [1.0, 5.0, 40.0, 420.0]}).values()
     assert all(len(S) == 7 for S in sets)
     assert sets[-1] == h.candidates[1:]
 
@@ -206,17 +224,17 @@ def test_ladder_makes_fewer_marginal_calls_than_per_guess_passes():
             return super().marginal(e)
 
     f.make_state = lambda: CountingState(f)
-    k = 5
-    guesses = build_guess_ladder(k * math.log(120) / 0.5, 400.0, 0.2)
-    sets = threshold_stream_with_tail_fill(f, f.candidates, k, guesses)
+    ladders = {k: build_guess_ladder(k * math.log(120) / 0.5, 400.0, 0.2) for k in (5, 10, 20)}
+    ladder_sets = threshold_stream_with_tail_fill(f, f.candidates, ladders)
     ladder_calls, calls[0] = calls[0], 0
-    assert sets == [per_guess_tail_fill(f, f.candidates, k, O) for O in guesses]
+    for k, guesses in ladders.items():
+        assert ladder_sets[k] == [per_guess_tail_fill(f, f.candidates, k, O) for O in guesses]
     assert ladder_calls < calls[0]
     # Without the oracle's gain bounds the ladder computes more marginals
     # and selects the same sets.
     per_guess_calls, calls[0] = calls[0], 0
     f.gain_bounds = lambda states: None
-    assert threshold_stream_with_tail_fill(f, f.candidates, k, guesses) == sets
+    assert threshold_stream_with_tail_fill(f, f.candidates, ladders) == ladder_sets
     assert ladder_calls < calls[0] < per_guess_calls
 
 
@@ -226,35 +244,38 @@ def test_ladder_makes_fewer_marginal_calls_than_per_guess_passes():
                         max_size=12, unique=True),
     picks=st.lists(st.integers(0, 11), min_size=1, max_size=16),
     surplus=st.integers(-2, 6),
-    fracs=st.lists(st.floats(0.001, 1.5), min_size=1, max_size=12),
+    smaller=st.lists(st.integers(1, 16), max_size=2),
+    fracs=per_k_fracs,
 )
 @settings(max_examples=150, deadline=None)
 def test_ladder_with_gain_bounds_matches_per_guess_passes(clients, candidates, picks, surplus,
-                                                          fracs):
-    # |V| - k from -2 to 6: the gain bounds apply only while more than k
-    # elements are left, so streams shorter than, equal to and just longer
-    # than k cross that boundary.
+                                                          smaller, fracs):
+    # |V| minus the largest k from -2 to 6: the gain bounds apply only while
+    # more than the largest k elements are left, so streams shorter than,
+    # equal to and just longer than it cross that boundary. Up to two
+    # smaller k share the pass.
     V = [candidates[i % len(candidates)] for i in picks]  # repeats allowed
-    k = max(1, len(V) - surplus)
+    k_max = max(1, len(V) - surplus)
+    ks = [k_max] + sorted({k for k in smaller if k < k_max})
     f = kmedians_oracle(np.array(clients), candidates)
     if f.normalizer == 0:
         return  # every point coincides: no value exists
     top = max(f.evaluate([e]) for e in V) or 1.0
-    guesses = sorted(2 * k * top * x for x in fracs)
-    sets = threshold_stream_with_tail_fill(f, V, k, guesses)
-    assert sets == [per_guess_tail_fill(f, V, k, O) for O in guesses]
-    assert sets.values == [f.evaluate(S) for S in sets]
+    assert_ladder_matches_per_guess(f, V, fracs_ladders(ks, fracs, top))
 
 
 def test_ladder_validation():
     f = coverage_oracle([0, 1])
+    with pytest.raises(ValueError, match="ladders"):
+        threshold_stream_with_tail_fill(f, [0, 1], {})
+    # One bad ladder among good ones fails the whole pass.
     for guesses in ([], [0.0], [-1.0, 2.0], [math.nan], [2.0, 1.0]):
-        with pytest.raises(ValueError, match="guesses"):
-            threshold_stream_with_tail_fill(f, [0, 1], 1, guesses)
+        with pytest.raises(ValueError, match="guesses of k=2"):
+            threshold_stream_with_tail_fill(f, [0, 1], {1: [1.0], 2: guesses, 3: [1.0]})
     for k in (0, 2.5):
         with pytest.raises(ValueError, match="k must"):
-            threshold_stream_with_tail_fill(f, [0, 1], k, [1.0])
-    assert threshold_stream_with_tail_fill(f, [0, 1], 1, [1.0, 1.0]) == [[0], [0]]
+            threshold_stream_with_tail_fill(f, [0, 1], {1: [1.0], k: [1.0]})
+    assert threshold_stream_with_tail_fill(f, [0, 1], {1: [1.0, 1.0]}) == {1: [[0], [0]]}
 
 
 class ConstantMarginal:
