@@ -266,6 +266,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     best_singleton = None
     # stream order -> {(k, epsilon): set} of the non-private pass.
     nonprivate = {}
+    # Each repetition's stream order, shared by every cell.
+    rep_streams = [_stream_for_rep(cfg, stream, rep) for rep in range(cfg.repetitions)]
     for method in METHODS:
         if method not in cfg.methods:
             continue
@@ -276,8 +278,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                 start = time.perf_counter()
                 costs = []
                 try:
-                    for rep in range(cfg.repetitions):
-                        rep_stream = _stream_for_rep(cfg, stream, rep)
+                    for rep, rep_stream in enumerate(rep_streams):
                         seed = derive_seed(cfg.master_seed, method_idx, k_idx, eps_idx, rep)
                         if method == "nonprivate":
                             # Deterministic given data and order: one pass

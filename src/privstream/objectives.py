@@ -57,9 +57,11 @@ class _KMediansState(OracleState):
     # gains never grow and never exceed the empty state's.
     exact_diminishing_returns = True
 
-    def __init__(self, oracle):
+    def __init__(self, oracle, dmin=None):
+        # dmin: a G-filled vector the state may own, e.g. a row of the block
+        # that make_states fills for several states at once.
         super().__init__(oracle)
-        self._dmin = np.full(oracle.num_agents, oracle.normalizer)
+        self._dmin = np.full(oracle.num_agents, oracle.normalizer) if dmin is None else dmin
         self._ceilings = None
 
     def ceilings(self) -> np.ndarray:
@@ -243,11 +245,13 @@ class KMediansObjective(DecomposableObjective):
     def _min_distances(self, S) -> np.ndarray:
         # Starts from d(p, empty) = G, as the incremental state does, so the
         # two agree exactly even where a distance exceeds G (by <= 1e-9).
-        cols = [self._column(e) for e in S]
-        if not cols:
-            self._require_positive_normalizer()
-            return np.full(self.num_agents, self.normalizer)
-        return np.minimum.reduce(cols, initial=self.normalizer)
+        # Each column is folded in place; min is exact, so the order of the
+        # folds does not matter.
+        self._require_positive_normalizer()
+        dmin = np.full(self.num_agents, self.normalizer)
+        for e in S:
+            np.minimum(dmin, self._column(e, out=self._scratch), out=dmin)
+        return dmin
 
     def evaluate(self, S) -> float:
         S = set(S)
@@ -265,6 +269,13 @@ class KMediansObjective(DecomposableObjective):
 
     def make_state(self) -> _KMediansState:
         return _KMediansState(self)
+
+    def make_states(self, count: int) -> list[_KMediansState]:
+        # One G-filled (count, |P|) block backs all the states, one row each,
+        # and lives exactly as long as they do: one allocation instead of
+        # count fresh vectors whose pages fault in again on every run.
+        block = np.full((count, self.num_agents), self.normalizer)
+        return [_KMediansState(self, row) for row in block]
 
 
 def kmedians_oracle(clients, candidates, normalizer: float | None = None) -> KMediansObjective:

@@ -252,11 +252,20 @@ class SparseInstance:
         return True
 
 
+class _Drawn:
+    # Noise drawn ahead: draw() hands out the values in order.
+    __slots__ = ("draw",)
+
+    def __init__(self, values):
+        self.draw = iter(values).__next__
+
+
 # Score noise is drawn for _BLOCK elements at a time, one block for all live
 # rungs, when that makes at least _BLOCK_GATE draws; smaller windows draw one
-# value per check. On a 2-core x86 machine (Python 3.11, numpy 2.4) a block
-# cost ~30 us plus ~0.3-0.4 us per value against ~1.5 us per scalar draw, so
-# below about 32 values a block saves nothing.
+# value per check. A run's threshold noise, at most k values per rung, is
+# drawn in one block by the same gate. On a 2-core x86 machine (Python 3.11,
+# numpy 2.4) a block cost ~30 us plus ~0.3-0.4 us per value against ~1.5 us
+# per scalar draw, so below about 32 values a block saves nothing.
 _BLOCK = 32
 _BLOCK_GATE = 32
 
@@ -267,9 +276,11 @@ def _scan(f: ObjectiveOracle, V, instances, n: int) -> tuple[list, int, int]:
     leaves the scan once it halts. Raises once V outgrows n. Returns
     (states, elements streamed, threshold checks).
 
-    When the states declare ``exact_diminishing_returns``, an empty probe
-    state's marginal bounds every check's f(e|S), so the checks get it as
-    ``cap``; it is asked once per element that reaches a live instance.
+    The rung states and an empty probe state, the last one, come from one
+    ``f.make_states`` call. When the states declare
+    ``exact_diminishing_returns``, the probe's marginal bounds every check's
+    f(e|S), so the checks get it as ``cap``; it is asked once per element
+    that reaches a live instance.
 
     Score noise is read ahead: for each window of _BLOCK elements (fewer
     once the stream bound n is closer), the live rungs' next draws for the
@@ -280,11 +291,11 @@ def _scan(f: ObjectiveOracle, V, instances, n: int) -> tuple[list, int, int]:
     would draw on its own, so answers and states do not depend on the
     windows.
     """
-    states = [f.make_state() for _ in instances]
+    states = f.make_states(len(instances) + 1)
+    probe = states.pop()
     # (instance, state, its next score draw) of every live rung.
     live = [(inst, state, inst.score_noise.draw)
             for inst, state in zip(instances, states) if not inst.halted]
-    probe = f.make_state()
     if not probe.exact_diminishing_returns:
         probe = None
     cap = None
@@ -441,14 +452,20 @@ def pssm(f: ObjectiveOracle, V, cfg: PssmConfig) -> tuple[list, RunDiagnostics]:
     else:
         budget = None
         threshold_root = score_root = selection_source = NoiseSource(ZERO_FOR_TEST, 0.0, seed=0)
+    threshold_noise = [threshold_root.spawn(i, 0) for i in range(T)]
+    if T * cfg.k >= _BLOCK_GATE:
+        # A rung draws at most k threshold values, so one block fetches all
+        # of them; each rung reads its row in order, unread values are
+        # discarded and nothing reads a threshold source again.
+        threshold_noise = [_Drawn(row) for row in draw_block(threshold_noise, cfg.k)]
     instances = [
         SparseInstance(
             threshold=guess / (2.0 * cfg.k),
             capacity=cfg.k,
-            threshold_noise=threshold_root.spawn(i, 0),
+            threshold_noise=noise,
             score_noise=score_root.spawn(i, 1),
         )
-        for i, guess in enumerate(guesses)
+        for i, (guess, noise) in enumerate(zip(guesses, threshold_noise))
     ]
     states, streamed, checks = _scan(f, V, instances, n)
 

@@ -66,6 +66,10 @@ class ObjectiveOracle:
     def make_state(self) -> OracleState:
         return OracleState(self)
 
+    def make_states(self, count: int) -> list[OracleState]:
+        """``count`` fresh empty states; oracles may set them up in bulk."""
+        return [self.make_state() for _ in range(count)]
+
     def gain_bounds(self, states):
         """None, or a function of an element e that returns, for each of
         ``states`` in order, a float no smaller than ``marginal(e)``,

@@ -33,11 +33,13 @@ def test_kmedians_degenerate_normalizer():
     # the oracle works; asking for any value raises instead of giving NaN.
     f = kmedians_oracle([[0.0, 0.0]], [(0.0, 0.0)])
     assert f.evaluate([]) == 0.0
-    state = f.make_state()
-    for ask in (lambda: f.evaluate([(0.0, 0.0)]), lambda: state.marginal((0.0, 0.0)),
-                lambda: state.accept((0.0, 0.0)), lambda: f.agent_values([])):
-        with pytest.raises(ValueError, match="normalizer is 0"):
-            ask()
+    for state in (f.make_state(), *f.make_states(2)):
+        assert state.value == 0.0
+        for ask in (lambda: f.evaluate([(0.0, 0.0)]), lambda: state.marginal((0.0, 0.0)),
+                    lambda: state.accept((0.0, 0.0)), lambda: f.agent_values([]),
+                    lambda: f.clustering_cost([])):
+            with pytest.raises(ValueError, match="normalizer is 0"):
+                ask()
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             kmedians_oracle([(0.0, 0.0)], [(3.0, 4.0)], normalizer=bad)
@@ -140,6 +142,57 @@ def test_kmedians_state_value_equals_evaluate(clients, candidates, slack, data):
     f = kmedians_oracle(clients, candidates, normalizer)
     picks = data.draw(st.lists(st.sampled_from(f.candidates), max_size=10))  # repeats allowed
     _state_value_is_exact(f, picks)
+
+
+def _outcome(ask):
+    # What a call gives, or the error it raises.
+    try:
+        result = ask()
+    except ValueError as exc:
+        return "raises", str(exc)
+    return "gives", result.tobytes() if isinstance(result, np.ndarray) else float(result).hex()
+
+
+_STATE_OPS = ("accept", "marginal", "value", "bound")
+
+
+@given(
+    clients=st.lists(point, min_size=1, max_size=12),
+    candidates=st.lists(point, min_size=1, max_size=6, unique=True),
+    slack=st.sampled_from([None, 0.0, 9e-10]),
+    count=st.integers(1, 4),
+    ops=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(_STATE_OPS), st.integers(0, 5)),
+                 max_size=25),  # (state, op, candidate), indices taken modulo; repeats allowed
+)
+@example(clients=[(0.0, 0.0)], candidates=[(0.0, 0.0)], slack=None, count=2,
+         ops=[(0, op, 0) for op in _STATE_OPS] + [(1, "value", 0)])  # G = 0
+@settings(max_examples=150, deadline=None)
+def test_kmedians_block_states_match_single_states(clients, candidates, slack, count, ops):
+    arr_c, arr_v = np.asarray(clients), np.asarray(candidates)
+    far = float(np.abs(arr_c[:, None, :] - arr_v[None, :, :]).sum(axis=2).max())
+    normalizer = None if slack is None or far == 0.0 else far - slack
+    f = kmedians_oracle(clients, candidates, normalizer)
+    block = f.make_states(count)
+    singles = [f.make_state() for _ in range(count)]
+    ops = [(i % count, op, f.candidates[c % len(f.candidates)]) for i, op, c in ops]
+    for i, op, e in ops:
+        rows = [state._dmin.copy() for state in block]
+        outcomes = []
+        for state in (block[i], singles[i]):
+            if op == "accept":
+                outcomes.append(_outcome(lambda: state.accept(e) or 0.0))
+            elif op == "marginal":
+                outcomes.append(_outcome(lambda: state.marginal(e)))
+            elif op == "value":
+                outcomes.append(_outcome(lambda: state.value))
+            else:
+                outcomes.append(_outcome(lambda: f.gain_bounds([state])(e)))
+        assert outcomes[0] == outcomes[1]
+        for j, (state, single) in enumerate(zip(block, singles)):
+            assert state.selected == single.selected
+            assert state._dmin.tobytes() == single._dmin.tobytes()
+            if j != i or op != "accept":
+                assert state._dmin.tobytes() == rows[j].tobytes()
 
 
 @given(records=st.lists(st.integers(0, 5), min_size=1, max_size=20),

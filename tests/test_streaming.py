@@ -526,10 +526,13 @@ def test_noise_first_scan_ties():
 
 
 def test_noise_first_pssm_skips_most_marginals():
+    # 2,000 clients: with 500, the rungs' noise decided every check of this
+    # run, and only the probe asked for marginals.
     rng = np.random.default_rng(14)
-    f = kmedians_oracle(rng.uniform(0, 20, size=(500, 2)),
+    f = kmedians_oracle(rng.uniform(0, 20, size=(2000, 2)),
                         [tuple(p) for p in rng.uniform(0, 20, size=(150, 2))])
     calls = [0]
+    requested = []
     base = type(f.make_state())
 
     class CountingState(base):
@@ -537,10 +540,59 @@ def test_noise_first_pssm_skips_most_marginals():
             calls[0] += 1
             return super().marginal(e)
 
-    f.make_state = lambda: CountingState(f)
-    cfg = make_cfg(noise_kind=LAPLACE, k=5, m_bound=500.0, master_seed=3)
+    make_states = f.make_states
+
+    def counting_states(count):
+        # The scan asks for its rungs' states and, last, its empty probe;
+        # only the rungs' marginals count.
+        requested.append(count)
+        states = make_states(count)
+        for state in states[:-1]:
+            state.__class__ = CountingState
+        return states
+
+    f.make_states = counting_states
+    cfg = make_cfg(noise_kind=LAPLACE, k=5, m_bound=2000.0, master_seed=3)
     _, diag = pssm(f, f.candidates, cfg)
-    assert 0 < calls[0] < diag.marginal_calls
+    assert requested == [diag.num_guesses + 1]
+    assert 0 < calls[0] < diag.marginal_calls / 2
+
+
+@pytest.mark.parametrize("kind", [LAPLACE, GUMBEL, ZERO_FOR_TEST])
+def test_pssm_threshold_block_matches_scalar_draws(kind, monkeypatch):
+    # With T k >= the gate, one block holds every rung's k threshold draws;
+    # with the gate out of reach every draw is scalar. Runs must agree.
+    rng = np.random.default_rng(15)
+    f = kmedians_oracle(rng.uniform(0, 20, size=(200, 2)),
+                        [tuple(p) for p in rng.uniform(0, 20, size=(60, 2))])
+    for seed in range(4):
+        V = [f.candidates[i] for i in rng.permutation(60)]
+        cfg = make_cfg(noise_kind=kind, k=8, m_bound=200.0, master_seed=seed)
+        with recorded_blocks() as blocks:
+            blocked = pssm(f, V, cfg)
+        T = blocked[1].num_guesses
+        assert T * cfg.k >= 32 and blocks[0] == (T, cfg.k)
+        with monkeypatch.context() as patch:
+            patch.setattr(streaming, "_BLOCK_GATE", math.inf)
+            with recorded_blocks() as blocks:
+                scalar = pssm(f, V, cfg)
+        assert blocks == []
+        assert blocked == scalar
+
+
+def test_pssm_walks_the_whole_stream_after_every_rung_halts():
+    # Every record is label 0, so f({0}) = m tops every rung's bar (at most
+    # m/2k, noiseless) and each k = 1 rung halts on the first element. The
+    # rest of the stream is still counted: the n_bound check needs it.
+    f = coverage_oracle([0] * 6)
+    V = list(range(40))
+    _, diag = pssm(f, V, make_cfg(k=1, n_bound=len(V)))
+    assert diag.per_guess_sizes == (1,) * diag.num_guesses
+    assert diag.stream_length == len(V)
+    short = make_cfg(k=1, n_bound=len(V) - 1)
+    for stream in (V, (e for e in V)):
+        with pytest.raises(ValueError, match="n_bound of 39"):
+            pssm(f, stream, short)
 
 
 def random_coverage_instance(rng, n_labels=15, n_records=40):
