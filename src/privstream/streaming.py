@@ -14,6 +14,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -90,26 +91,33 @@ def threshold_stream_with_tail_fill(f: ObjectiveOracle, V, ladders) -> dict[int,
     free slots, every remaining element is accepted outright. Only sensible
     without noise; the sweep's non-private baseline uses it.
 
-    The sets equal those of separate per-guess passes. Rungs of one k that
-    accepted the same sequence share one oracle state: bars ascend, so such
-    a group is a contiguous run of rungs and the rungs that accept an
-    element are a prefix of it. A splitting group's accepting part replays
-    its sequence into a fresh state, which reproduces the per-guess state
-    exactly. Each k starts from its own empty state, since a group that
-    accepts as a whole changes its state in place. While more elements are
-    left than the largest k (so no group can tail-fill), the oracle's
-    ``gain_bounds`` (k-medians has them) bound every k's groups' marginals
-    in one call per element, rebuilt only after an accept, and a group
-    whose bound lies below all its bars rejects without a marginal. When the
-    states declare ``exact_diminishing_returns``, each k's groups are
-    visited from the highest bars down and a group of any k skips its
+    The sets equal those of separate per-guess passes. Every k's rungs form
+    one ladder ordered by bar, and the rungs of any k that accepted the
+    same sequence form a group on one oracle state; all start in one group
+    on one empty state. The rungs of a group that accept an element are a
+    prefix of it in bar order, found by bisecting the gain among their
+    bars. A splitting group's accepting part replays its sequence into a
+    fresh state, which reproduces the per-guess state exactly. A rung whose
+    set reaches its own k leaves with a snapshot of the set and its value,
+    and rungs whose k puts them into the tail fill split off onto a replayed
+    state. Sharing pays off where bars coincide across k: the bar of a
+    guess E (1+theta)^i is E (1+theta)^i / (2k), the same for every k
+    wherever E is k ln n / eps.
+
+    While more elements are left than the largest k (so no rung can
+    tail-fill), the oracle's ``gain_bounds`` (k-medians has them) bound
+    every group's marginal in one call per element, rebuilt only after an
+    accept, and a group whose bound lies below all its bars rejects without
+    a marginal. When the states declare ``exact_diminishing_returns``, the
+    groups are visited from the highest bars down and a group skips its
     marginal when a group with a subset of its set already measured a gain
     below all its bars.
 
     Each k's list of sets has ``values``, f of each set read off the pass's
     states (equal to ``f.evaluate``), so the sweep evaluates no set again.
     """
-    bars = {}
+    ladder_sets = {}
+    rungs = []  # (bar, k, index of its guess) of every k's ladder
     for k, guesses in ladders.items():
         _check_k(k)
         guesses = list(guesses)
@@ -119,31 +127,67 @@ def threshold_stream_with_tail_fill(f: ObjectiveOracle, V, ladders) -> dict[int,
             raise ValueError(f"guesses of k={k} must be positive, got {guesses}")
         if any(b < a for a, b in zip(guesses, guesses[1:])):
             raise ValueError(f"guesses of k={k} must ascend, got {guesses}")
-        bars[k] = [O / (2.0 * k) for O in guesses]
-    if not bars:
+        ladder_sets[k] = _LadderSets(len(guesses))
+        rungs += [(O / (2.0 * k), k, r) for r, O in enumerate(guesses)]
+    if not rungs:
         raise ValueError("ladders must map at least one k to its guesses")
+    rungs.sort()
+
+    def settle(members, state):
+        # The members' sets and values, read off their group's state.
+        value = state.value
+        for _, k, r in members:
+            ladder_sets[k][r] = list(state.selected)
+            ladder_sets[k].values[r] = value
+
+    def accept(members, state, e):
+        # The state accepts e; returns the members whose k it has not filled.
+        state.accept(e)
+        size = len(state.selected)
+        if size not in ladder_sets:
+            return members
+        settle([m for m in members if m[1] == size], state)
+        return [m for m in members if m[1] != size]
+
     V = list(V)
-    bounded = len(V) - max(bars)  # elements with no group able to tail-fill
-    # (k, first rung, end rung, state) of the active groups.
-    active = [(k, 0, len(k_bars), f.make_state()) for k, k_bars in bars.items()]
-    skip = active[0][3].exact_diminishing_returns
-    full = []
+    bounded = len(V) - max(ladders)  # elements with no rung able to tail-fill
+    # (members ascending by bar, state) of the groups that accept on their
+    # bars, from the highest bars down, and of the groups that tail-fill.
+    active = [(rungs, f.make_state())]
+    tails = []
+    skip = active[0][1].exact_diminishing_returns
     # (f.gain_bounds of the active groups, their lowest bars); reset by
     # every accept.
     bounds = None
     for i, e in enumerate(V):
-        if not active:
+        if not (active or tails):
             break
-        left = len(V) - i
         visit = range(len(active))
         if i < bounded:
             if bounds is None:
-                bounds = (f.gain_bounds([state for _, _, _, state in active]),
-                          np.array([bars[k][lo] for k, lo, _, _ in active]))
+                bounds = (f.gain_bounds([state for _, state in active]),
+                          np.array([members[0][0] for members, _ in active]))
             gain_bound, lowest = bounds
             if gain_bound is not None:
                 # Only groups whose bound reaches their lowest bar may accept.
-                visit = np.flatnonzero(~(gain_bound(e) < lowest)).tolist()
+                visit = (~(gain_bound(e) < lowest)).nonzero()[0].tolist()
+        else:
+            # Rungs whose free slots cover the elements left split off to
+            # tail-fill, on a replay of the state when other rungs stay.
+            kept = []
+            for members, state in active:
+                fill = len(V) - i + len(state.selected)
+                stay = [m for m in members if m[1] < fill]
+                if len(stay) < len(members):
+                    tails.append(([m for m in members if m[1] >= fill],
+                                  _replay(f, state) if stay else state))
+                if stay:
+                    kept.append((stay, state))
+            active = kept
+            visit = range(len(active))
+            tails = [(members if e in state._selected_set else accept(members, state, e), state)
+                     for members, state in tails]
+            tails = [group for group in tails if group[0]]
         # (gain bound, selected set) of groups that rejected e; filled only
         # when skip holds.
         ruled_out = []
@@ -152,47 +196,45 @@ def threshold_stream_with_tail_fill(f: ObjectiveOracle, V, ladders) -> dict[int,
         for j in visit:
             groups += active[done:j]
             done = j + 1
-            k, lo, hi, state = active[j]
-            if left <= k - len(state.selected):
-                if e not in state._selected_set:
-                    state.accept(e)
-                groups.append((k, lo, hi, state))  # full only once V is spent
-                continue
-            k_bars = bars[k]
+            members, state = active[j]
             bound = None
             if ruled_out:
                 for g, sub in reversed(ruled_out):
-                    if g < k_bars[lo] and sub <= state._selected_set:
+                    if g < members[0][0] and sub <= state._selected_set:
                         bound = g
                         break
             if bound is None:
                 gain = state.marginal(e)
-                split = bisect.bisect_right(k_bars, gain, lo, hi)
+                split = bisect.bisect_right(members, gain, key=_BAR)
             else:
-                gain, split = bound, lo
-            if split == lo:
+                gain, split = bound, 0
+            if split == 0:
                 if skip:
                     ruled_out.append((gain, state._selected_set))
-                groups.append((k, lo, hi, state))
+                groups.append(active[j])
                 continue
             bounds = None
-            if split < hi:
-                groups.append((k, split, hi, state))
-                accepted = f.make_state()
-                for x in state.selected:
-                    accepted.accept(x)
-                state = accepted
-            state.accept(e)
-            (full if len(state.selected) >= k else groups).append((k, lo, split, state))
+            if split < len(members):
+                groups.append((members[split:], state))
+                state = _replay(f, state)
+            members = accept(members[:split], state, e)
+            if members:
+                groups.append((members, state))
         active = groups + active[done:]
-    ladder_sets = {k: _LadderSets(len(k_bars)) for k, k_bars in bars.items()}
-    for k, lo, hi, state in full + active:
-        sets = ladder_sets[k]
-        value = state.value
-        for r in range(lo, hi):
-            sets[r] = list(state.selected)
-            sets.values[r] = value
+    for members, state in active + tails:
+        settle(members, state)
     return ladder_sets
+
+
+_BAR = itemgetter(0)  # a ladder member's bar
+
+
+def _replay(f: ObjectiveOracle, state):
+    # A fresh state that accepted state's sequence: equal to it exactly.
+    replayed = f.make_state()
+    for x in state.selected:
+        replayed.accept(x)
+    return replayed
 
 
 class _LadderSets(list):

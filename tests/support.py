@@ -1,6 +1,7 @@
-"""Test-only helpers: an additive objective, an exhaustive optimizer, a
-reader for the sweep's CSVs, a bounded-noise utility check for one
-threshold instance and a worst-case coverage instance generator.
+"""Test-only helpers: an additive objective, a per-guess reference for the
+non-private ladder, an exhaustive optimizer, a reader for the sweep's CSVs,
+a bounded-noise utility check for one threshold instance and a worst-case
+coverage instance generator.
 
 The test modules import this as ``support``; pytest puts ``tests/`` on the
 import path because the directory is not a package.
@@ -30,6 +31,23 @@ class ModularObjective(ObjectiveOracle):
 
     def evaluate(self, S) -> float:
         return float(sum(self.weights[e] for e in set(S)))
+
+
+def per_guess_tail_fill(f: ObjectiveOracle, V, k: int, O: float) -> list:
+    """One separate noiseless tail-fill pass for the single guess O of k:
+    the reference for ``threshold_stream_with_tail_fill``'s sets."""
+    V = list(V)
+    state = f.make_state()
+    bar = O / (2.0 * k)
+    for i, e in enumerate(V):
+        if len(state) >= k:
+            break
+        if len(V) - i <= k - len(state):
+            if e not in state._selected_set:
+                state.accept(e)
+        elif state.marginal(e) >= bar:
+            state.accept(e)
+    return state.selected
 
 
 _BRUTE_FORCE_LIMIT = 10**7

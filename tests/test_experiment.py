@@ -23,8 +23,8 @@ from privstream.experiment import (
     run_experiment,
 )
 from privstream.objectives import kmedians_oracle
-from privstream.streaming import build_guess_ladder, threshold_stream_with_tail_fill
-from support import brute_force_opt, read_report_csv
+from privstream.streaming import build_guess_ladder
+from support import brute_force_opt, per_guess_tail_fill, read_report_csv
 
 TINY = dict(
     components=2,
@@ -271,14 +271,16 @@ def test_nonprivate_approximation_on_small_instance():
 
 
 def per_eps_nonprivate(oracle, stream, theta, k, epsilon, best_singleton):
-    # The non-private solve of one (k, epsilon) as a separate pass over its
-    # own ladder: the reference the merged pass must reproduce.
+    # The non-private solve of one (k, epsilon) from a separate pass per
+    # guess of its own ladder: the reference the merged pass must reproduce,
+    # built without the ladder pass it checks.
     n = len(stream)
     E = min(best_singleton, k * math.log(max(n, 2)) / epsilon, oracle.num_agents / 2.0)
     guesses = build_guess_ladder(E, float(oracle.num_agents), theta)
     best_set: list = []
     best_value = -math.inf
-    for S in threshold_stream_with_tail_fill(oracle, stream, {k: guesses})[k]:
+    for O in guesses:
+        S = per_guess_tail_fill(oracle, stream, k, O)
         value = oracle.evaluate(S)
         if value > best_value:
             best_value = value

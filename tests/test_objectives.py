@@ -235,6 +235,20 @@ def _assert_buckets_partition_clients(f):
 @example(layout="vertical", clients=[(0.5, 0.0), (0.0, 7.25), (0.0, -3.0)],
          candidates=[(0.5, 1.0), (-2.0, 7.25)], coincide=True, tight=True,
          picks=[[0, 0], [2, 3, 2], []])
+# The state {x} sits just beyond e from every bucket of coincident clients,
+# so U_b lies just above L_b(e) and sum_b n_b U_b - sum_b n_b min(U_b, L_b)
+# cancels all but 1.4e-5 (first) or 8.9e-10 (second) of itself. The bound
+# then falls ~1e-15 below the marginal without its 1e-9 sum_b n_b U_b slack,
+# and in the second also with a 1 + 1e-9 factor on the difference instead.
+@example(layout="scatter",
+         clients=[(9.009, -7.117)] * 7 + [(8.973, -3.763)] * 5 + [(-1.533, 6.554)] * 6,
+         candidates=[(629.756, 316.535), (629.7635, 316.5404)], coincide=False, tight=True,
+         picks=[[1]])
+@example(layout="scatter",
+         clients=[(-5.264, 6.025)] * 3 + [(1.643, -8.117)] * 10 + [(-1.337, -0.419)] * 7
+         + [(-6.805, 4.692)] * 6 + [(-7.727, -2.175)] * 6,
+         candidates=[(652.079, 742.703), (652.079000956, 742.703000284)], coincide=False,
+         tight=True, picks=[[1], [1, 0]])
 @settings(max_examples=200, deadline=None)
 def test_kmedians_gain_bounds_never_fall_below_a_marginal(layout, clients, candidates,
                                                           coincide, tight, picks):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from privstream import streaming
@@ -19,7 +19,12 @@ from privstream.streaming import (
     threshold_stream,
     threshold_stream_with_tail_fill,
 )
-from support import ModularObjective, bounded_noise_utility_check, brute_force_opt
+from support import (
+    ModularObjective,
+    bounded_noise_utility_check,
+    brute_force_opt,
+    per_guess_tail_fill,
+)
 
 
 def zero_source():
@@ -114,22 +119,6 @@ def test_tail_fill_tops_up():
     assert threshold_stream_with_tail_fill(g, [0, 1, 2, 3], {2: [10.0]}) == {2: [[0, 3]]}
 
 
-def per_guess_tail_fill(f, V, k, O):
-    # Reference: one separate tail-fill pass for the single guess O.
-    V = list(V)
-    state = f.make_state()
-    bar = O / (2.0 * k)
-    for i, e in enumerate(V):
-        if len(state) >= k:
-            break
-        if len(V) - i <= k - len(state):
-            if e not in state._selected_set:
-                state.accept(e)
-        elif state.marginal(e) >= bar:
-            state.accept(e)
-    return state.selected
-
-
 def assert_ladder_matches_per_guess(f, V, ladders):
     # One pass over every k's ladder against a separate pass per (k, guess).
     ladder_sets = threshold_stream_with_tail_fill(f, V, ladders)
@@ -185,6 +174,45 @@ def test_ladder_matches_per_guess_passes_coverage(records, V, ks, bars):
         f, V, {k: sorted(2.0 * k * b for b in k_bars) for k, k_bars in zip(ks, bars)})
 
 
+def sweep_ladders(ks, cs, cap, m, theta):
+    # Built as the sweep's non-private baseline builds them: for each c (ln n
+    # / eps there) E = min(cap, k c, m/2), and each k takes the sorted union
+    # of its ladders. Wherever k c sets E, the bar E (1+theta)^i / (2k) of
+    # a guess barely depends on k, and is one float for k a power of 2 apart.
+    return {k: sorted({O for c in cs for O in build_guess_ladder(min(cap, k * c, m / 2.0), m, theta)})
+            for k in ks}
+
+
+@given(
+    coverage=st.booleans(),
+    clients=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=25),
+    candidates=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1,
+                        max_size=10, unique=True),
+    picks=st.lists(st.integers(0, 9), min_size=1, max_size=16),
+    # From 1 to past |V|, with powers of 2 so that some bars coincide
+    # exactly: capacity and the tail fill both split groups shared across k.
+    ks=st.lists(st.one_of(st.sampled_from([1, 2, 4, 8, 16]), st.integers(1, 18)),
+                min_size=2, max_size=4, unique=True),
+    cs=st.lists(st.floats(0.01, 3.0), min_size=1, max_size=2),
+    theta=st.sampled_from([0.1, 0.2, 0.5]),
+)
+@example(coverage=False, clients=[(0, 0), (12, 3), (5, 9), (7, 7), (1, 11), (10, 0)],
+         candidates=[(0, 1), (11, 3), (6, 8), (2, 10)], picks=[0, 1, 2, 3, 1, 0, 2, 3],
+         ks=[1, 2, 4, 8], cs=[0.05], theta=0.2)
+@settings(max_examples=150, deadline=None)
+def test_ladder_shares_groups_across_k_like_the_sweep(coverage, clients, candidates, picks, ks,
+                                                      cs, theta):
+    V = [candidates[i % len(candidates)] for i in picks]  # repeats allowed
+    if coverage:
+        f = coverage_oracle([x for x, _ in clients])
+        V = [x for x, _ in V]
+    else:
+        f = kmedians_oracle(np.array(clients, dtype=float), candidates, normalizer=30.0)
+    m = float(f.num_agents)
+    cap = max(f.evaluate([e]) for e in V) or m  # the best singleton
+    assert_ladder_matches_per_guess(f, V, sweep_ladders(ks, cs, cap, m, theta))
+
+
 def test_ladder_edge_cases():
     # bar == gain exactly: bars 1, 2, 3 against gains 1 (label 2), 2 (1), 3 (0).
     f = coverage_oracle([0, 0, 0, 1, 1, 2])
@@ -224,12 +252,18 @@ def test_ladder_makes_fewer_marginal_calls_than_per_guess_passes():
             return super().marginal(e)
 
     f.make_state = lambda: CountingState(f)
+    # k ln n / eps sets E, so the bars of k = 5, 10 and 20 are equal.
     ladders = {k: build_guess_ladder(k * math.log(120) / 0.5, 400.0, 0.2) for k in (5, 10, 20)}
     ladder_sets = threshold_stream_with_tail_fill(f, f.candidates, ladders)
     ladder_calls, calls[0] = calls[0], 0
+    # One call for all k shares their groups; one call per k cannot.
+    for k, guesses in ladders.items():
+        assert threshold_stream_with_tail_fill(f, f.candidates, {k: guesses}) == {k: ladder_sets[k]}
+    per_k_calls, calls[0] = calls[0], 0
+    assert ladder_calls < per_k_calls
     for k, guesses in ladders.items():
         assert ladder_sets[k] == [per_guess_tail_fill(f, f.candidates, k, O) for O in guesses]
-    assert ladder_calls < calls[0]
+    assert per_k_calls < calls[0]
     # Without the oracle's gain bounds the ladder computes more marginals
     # and selects the same sets.
     per_guess_calls, calls[0] = calls[0], 0
@@ -247,6 +281,8 @@ def test_ladder_makes_fewer_marginal_calls_than_per_guess_passes():
     smaller=st.lists(st.integers(1, 16), max_size=2),
     fracs=per_k_fracs,
 )
+@example(clients=[(8.5997775739739, 13.02791527661212)] * 3, candidates=[(0, 0)], picks=[0],
+         surplus=0, smaller=[], fracs=[[1.0], [1.0], [1.0]])  # top rounds to -4.4e-16
 @settings(max_examples=150, deadline=None)
 def test_ladder_with_gain_bounds_matches_per_guess_passes(clients, candidates, picks, surplus,
                                                           smaller, fracs):
@@ -260,7 +296,9 @@ def test_ladder_with_gain_bounds_matches_per_guess_passes(clients, candidates, p
     f = kmedians_oracle(np.array(clients), candidates)
     if f.normalizer == 0:
         return  # every point coincides: no value exists
-    top = max(f.evaluate([e]) for e in V) or 1.0
+    # When every singleton is worth 0, rounding can leave the best a hair
+    # below 0 (all clients at distance G sum to just over |P| G).
+    top = max(max(f.evaluate([e]) for e in V), 0.0) or 1.0
     assert_ladder_matches_per_guess(f, V, fracs_ladders(ks, fracs, top))
 
 
