@@ -102,7 +102,7 @@ class _KMediansState(OracleState):
         if not self.selected:
             return 0.0
         oracle = self.oracle
-        return float(oracle.num_agents - self._dmin.sum() / oracle.normalizer)
+        return max(float(oracle.num_agents - self._dmin.sum() / oracle.normalizer), 0.0)
 
 
 class KMediansObjective(DecomposableObjective):
@@ -267,7 +267,8 @@ class KMediansObjective(DecomposableObjective):
         if not S:
             return 0.0
         dmin = self._min_distances(S)
-        return float(self.num_agents - dmin.sum() / self.normalizer)
+        # With every client at distance G the rounded sum can exceed |P| G.
+        return max(float(self.num_agents - dmin.sum() / self.normalizer), 0.0)
 
     def agent_values(self, S) -> np.ndarray:
         return 1.0 - self._min_distances(set(S)) / self.normalizer

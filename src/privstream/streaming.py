@@ -63,24 +63,6 @@ def _check_k(k) -> None:
         raise ValueError(f"k must be a positive integer, got {k}")
 
 
-def threshold_stream(f: ObjectiveOracle, V, k: int, O: float) -> list:
-    """One noiseless pass: accept e while |S| < k and f(e|S) >= O/(2k).
-
-    The result satisfies f(S) >= min(O/2, f(OPT) - O/2).
-    """
-    _check_k(k)
-    if not O > 0:
-        raise ValueError(f"guess O must be positive, got {O}")
-    state = f.make_state()
-    bar = O / (2.0 * k)
-    for e in V:
-        if len(state) >= k:
-            break
-        if state.marginal(e) >= bar:
-            state.accept(e)
-    return state.selected
-
-
 def threshold_stream_with_tail_fill(f: ObjectiveOracle, V, ladders) -> dict[int, list[list]]:
     """Noiseless threshold passes for every k's ascending ladder of guesses,
     all run in one pass over V; returns ``{k: sets}``, one set per guess.

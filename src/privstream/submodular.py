@@ -1,12 +1,9 @@
-"""Objective-function abstraction and property checkers.
+"""The oracle interface: objectives and their incremental states.
 
 Oracles are normalized so that evaluate(empty) = 0; concrete oracles in this
-package satisfy that by construction and the property checker reports a
-nonzero empty value as a violation. Elements can be any hashable values.
+package satisfy that by construction. Elements can be any hashable values.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 
 class OracleState:
@@ -95,86 +92,3 @@ class DecomposableObjective(ObjectiveOracle):
     def agent_values(self, S):
         """Per-agent utilities of S, in fixed agent order (sums to evaluate(S))."""
         raise NotImplementedError
-
-
-def marginal_gain(f: ObjectiveOracle, e, S) -> float:
-    """Marginal gain of e over S, 0 when e is already in S."""
-    state = f.make_state()
-    for x in S:
-        state.accept(x)
-    return state.marginal(e)
-
-
-@dataclass
-class PropertyReport:
-    """Outcome of randomized monotonicity/submodularity probing."""
-
-    trials: int
-    empty_value: float
-    monotonicity_violations: list = field(default_factory=list)
-    submodularity_violations: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return (
-            abs(self.empty_value) <= 1e-12
-            and not self.monotonicity_violations
-            and not self.submodularity_violations
-        )
-
-
-def check_submodular_monotone(f: ObjectiveOracle, V, trials: int, rng) -> PropertyReport:
-    """Probe random chains S subset T and e outside T for violations of
-    monotonicity (marginal >= 0) and diminishing returns
-    (marginal(e, T) <= marginal(e, S)), at 1e-9 relative tolerance.
-    """
-    V = list(V)
-    if len(V) < 2:
-        raise ValueError("need at least two elements to probe")
-    report = PropertyReport(trials=trials, empty_value=f.evaluate(()))
-    for _ in range(trials):
-        size_t = int(rng.integers(0, len(V)))
-        t_idx = rng.choice(len(V), size=size_t, replace=False) if size_t else []
-        T = [V[i] for i in t_idx]
-        keep = rng.random(size_t) < 0.5 if size_t else []
-        S = [e for e, kept in zip(T, keep) if kept]
-        outside = [e for e in V if e not in set(T)]
-        if not outside:
-            continue
-        e = outside[int(rng.integers(0, len(outside)))]
-        gain_s = marginal_gain(f, e, S)
-        gain_t = marginal_gain(f, e, T)
-        tol = 1e-9 * max(1.0, abs(gain_s), abs(gain_t))
-        if gain_t < -tol or gain_s < -tol:
-            report.monotonicity_violations.append((e, tuple(S), tuple(T), gain_s, gain_t))
-        if gain_t > gain_s + tol:
-            report.submodularity_violations.append((e, tuple(S), tuple(T), gain_s, gain_t))
-    return report
-
-
-def sensitivity_probe(builder, A, V, trials: int, rng) -> float:
-    """Empirical lower bound on the sensitivity of the objective family.
-
-    ``builder`` maps a data set to an oracle. Each trial forms a neighbor of
-    A by dropping or duplicating one random record, samples a random subset
-    of the element domain V, and records |f_A(S) - f_B(S)|; the max over
-    trials is returned and must not exceed the declared sensitivity.
-    """
-    A = list(A)
-    V = list(V)
-    if not A:
-        raise ValueError("data set must be non-empty")
-    f_a = builder(A)
-    worst = 0.0
-    for _ in range(trials):
-        i = int(rng.integers(0, len(A)))
-        if rng.random() < 0.5 and len(A) > 1:
-            B = A[:i] + A[i + 1:]
-        else:
-            B = A + [A[i]]
-        f_b = builder(B)
-        size = int(rng.integers(0, len(V) + 1))
-        idx = rng.choice(len(V), size=size, replace=False) if size else []
-        S = [V[j] for j in idx]
-        worst = max(worst, abs(f_a.evaluate(S) - f_b.evaluate(S)))
-    return worst

@@ -1,5 +1,6 @@
-"""Test-only helpers: an additive objective, a per-guess reference for the
-non-private ladder, an exhaustive optimizer, a reader for the sweep's CSVs,
+"""Test-only helpers: an additive objective, randomized monotonicity,
+submodularity and sensitivity probes, single-guess references for the
+threshold passes, an exhaustive optimizer, a reader for the sweep's CSVs,
 a bounded-noise utility check for one threshold instance and a worst-case
 coverage instance generator.
 
@@ -11,12 +12,12 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from privstream.experiment import _CSV_COLUMNS, CSV_HEADER
 from privstream.objectives import CoverageObjective
-from privstream.streaming import _BLOCK_GATE, SparseInstance, _scan
+from privstream.streaming import _BLOCK_GATE, SparseInstance, _check_k, _scan
 from privstream.submodular import ObjectiveOracle
 
 
@@ -31,6 +32,107 @@ class ModularObjective(ObjectiveOracle):
 
     def evaluate(self, S) -> float:
         return float(sum(self.weights[e] for e in set(S)))
+
+
+def marginal_gain(f: ObjectiveOracle, e, S) -> float:
+    """Marginal gain of e over S, 0 when e is already in S."""
+    state = f.make_state()
+    for x in S:
+        state.accept(x)
+    return state.marginal(e)
+
+
+@dataclass
+class PropertyReport:
+    """Outcome of randomized monotonicity/submodularity probing."""
+
+    trials: int
+    empty_value: float
+    monotonicity_violations: list = field(default_factory=list)
+    submodularity_violations: list = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return (
+            abs(self.empty_value) <= 1e-12
+            and not self.monotonicity_violations
+            and not self.submodularity_violations
+        )
+
+
+def check_submodular_monotone(f: ObjectiveOracle, V, trials: int, rng) -> PropertyReport:
+    """Probe random chains S subset T and e outside T for violations of
+    monotonicity (marginal >= 0) and diminishing returns
+    (marginal(e, T) <= marginal(e, S)), at 1e-9 relative tolerance.
+    """
+    V = list(V)
+    if len(V) < 2:
+        raise ValueError("need at least two elements to probe")
+    report = PropertyReport(trials=trials, empty_value=f.evaluate(()))
+    for _ in range(trials):
+        size_t = int(rng.integers(0, len(V)))
+        t_idx = rng.choice(len(V), size=size_t, replace=False) if size_t else []
+        T = [V[i] for i in t_idx]
+        keep = rng.random(size_t) < 0.5 if size_t else []
+        S = [e for e, kept in zip(T, keep) if kept]
+        outside = [e for e in V if e not in set(T)]
+        if not outside:
+            continue
+        e = outside[int(rng.integers(0, len(outside)))]
+        gain_s = marginal_gain(f, e, S)
+        gain_t = marginal_gain(f, e, T)
+        tol = 1e-9 * max(1.0, abs(gain_s), abs(gain_t))
+        if gain_t < -tol or gain_s < -tol:
+            report.monotonicity_violations.append((e, tuple(S), tuple(T), gain_s, gain_t))
+        if gain_t > gain_s + tol:
+            report.submodularity_violations.append((e, tuple(S), tuple(T), gain_s, gain_t))
+    return report
+
+
+def sensitivity_probe(builder, A, V, trials: int, rng) -> float:
+    """Empirical lower bound on the sensitivity of the objective family.
+
+    ``builder`` maps a data set to an oracle. Each trial forms a neighbor of
+    A by dropping or duplicating one random record, samples a random subset
+    of the element domain V, and records |f_A(S) - f_B(S)|; the max over
+    trials is returned and must not exceed the declared sensitivity.
+    """
+    A = list(A)
+    V = list(V)
+    if not A:
+        raise ValueError("data set must be non-empty")
+    f_a = builder(A)
+    worst = 0.0
+    for _ in range(trials):
+        i = int(rng.integers(0, len(A)))
+        if rng.random() < 0.5 and len(A) > 1:
+            B = A[:i] + A[i + 1:]
+        else:
+            B = A + [A[i]]
+        f_b = builder(B)
+        size = int(rng.integers(0, len(V) + 1))
+        idx = rng.choice(len(V), size=size, replace=False) if size else []
+        S = [V[j] for j in idx]
+        worst = max(worst, abs(f_a.evaluate(S) - f_b.evaluate(S)))
+    return worst
+
+
+def threshold_stream(f: ObjectiveOracle, V, k: int, O: float) -> list:
+    """One noiseless pass: accept e while |S| < k and f(e|S) >= O/(2k).
+
+    The result satisfies f(S) >= min(O/2, f(OPT) - O/2).
+    """
+    _check_k(k)
+    if not O > 0:
+        raise ValueError(f"guess O must be positive, got {O}")
+    state = f.make_state()
+    bar = O / (2.0 * k)
+    for e in V:
+        if len(state) >= k:
+            break
+        if state.marginal(e) >= bar:
+            state.accept(e)
+    return state.selected
 
 
 def per_guess_tail_fill(f: ObjectiveOracle, V, k: int, O: float) -> list:

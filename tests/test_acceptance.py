@@ -16,9 +16,15 @@ from privstream.accounting import PrivacyParams
 from privstream.experiment import ExperimentConfig, run_experiment
 from privstream.noise import GUMBEL, NoiseSource, private_argmax
 from privstream.objectives import coverage_oracle, kmedians_oracle
-from privstream.streaming import PssmConfig, build_guess_ladder, pssm, threshold_stream
-from privstream.submodular import check_submodular_monotone, sensitivity_probe
-from support import bounded_noise_utility_check, brute_force_opt, generate_hard_instance
+from privstream.streaming import PssmConfig, build_guess_ladder, pssm
+from support import (
+    bounded_noise_utility_check,
+    brute_force_opt,
+    check_submodular_monotone,
+    generate_hard_instance,
+    sensitivity_probe,
+    threshold_stream,
+)
 
 # Frozen configuration for the desk-scale reproduction (criteria 7 and 8):
 # defaults give the 10x500-client mixture, 30x30 grid, theta 0.2,

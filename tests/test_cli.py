@@ -36,7 +36,3 @@ def test_run_rejects_malformed_set(tmp_path):
     cfg.write_text("k_values = 2\n")
     with pytest.raises(SystemExit):
         main(["run", str(cfg), "--set", "nonsense"])
-
-
-def test_check_passes():
-    assert main(["check"]) == 0

@@ -9,8 +9,13 @@ from privstream.objectives import (
     coverage_oracle,
     kmedians_oracle,
 )
-from privstream.submodular import check_submodular_monotone, marginal_gain
-from support import ModularObjective, brute_force_opt, generate_hard_instance
+from support import (
+    ModularObjective,
+    brute_force_opt,
+    check_submodular_monotone,
+    generate_hard_instance,
+    marginal_gain,
+)
 
 
 def test_kmedians_hand_values():
@@ -18,6 +23,13 @@ def test_kmedians_hand_values():
     assert f.evaluate([(3.0, 4.0)]) == pytest.approx(0.3)  # d=7, 1 - 7/10
     assert f.evaluate([]) == 0.0
     assert f.clustering_cost([]) == 10.0  # d(p, empty) = G
+    # Three clients at distance G from the only candidate: the rounded sum of
+    # their distances exceeds 3 G, and the value still reads 0.
+    f = kmedians_oracle([(8.5997775739739, 13.02791527661212)] * 3, [(0.0, 0.0)])
+    assert f.num_agents - np.full(3, f.normalizer).sum() / f.normalizer < 0.0
+    state = f.make_state()
+    state.accept((0.0, 0.0))
+    assert f.evaluate([(0.0, 0.0)]) == state.value == 0.0
 
 
 def test_kmedians_normalizer_validation():

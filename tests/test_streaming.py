@@ -16,7 +16,6 @@ from privstream.streaming import (
     _scan,
     build_guess_ladder,
     pssm,
-    threshold_stream,
     threshold_stream_with_tail_fill,
 )
 from support import (
@@ -24,6 +23,7 @@ from support import (
     bounded_noise_utility_check,
     brute_force_opt,
     per_guess_tail_fill,
+    threshold_stream,
 )
 
 
@@ -282,7 +282,7 @@ def test_ladder_makes_fewer_marginal_calls_than_per_guess_passes():
     fracs=per_k_fracs,
 )
 @example(clients=[(8.5997775739739, 13.02791527661212)] * 3, candidates=[(0, 0)], picks=[0],
-         surplus=0, smaller=[], fracs=[[1.0], [1.0], [1.0]])  # top rounds to -4.4e-16
+         surplus=0, smaller=[], fracs=[[1.0], [1.0], [1.0]])  # every client at distance G
 @settings(max_examples=150, deadline=None)
 def test_ladder_with_gain_bounds_matches_per_guess_passes(clients, candidates, picks, surplus,
                                                           smaller, fracs):
@@ -296,9 +296,7 @@ def test_ladder_with_gain_bounds_matches_per_guess_passes(clients, candidates, p
     f = kmedians_oracle(np.array(clients), candidates)
     if f.normalizer == 0:
         return  # every point coincides: no value exists
-    # When every singleton is worth 0, rounding can leave the best a hair
-    # below 0 (all clients at distance G sum to just over |P| G).
-    top = max(max(f.evaluate([e]) for e in V), 0.0) or 1.0
+    top = max(f.evaluate([e]) for e in V) or 1.0
     assert_ladder_matches_per_guess(f, V, fracs_ladders(ks, fracs, top))
 
 

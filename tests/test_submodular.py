@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privstream.objectives import coverage_oracle
-from privstream.submodular import (
-    ObjectiveOracle,
+from privstream.submodular import ObjectiveOracle
+from support import (
+    ModularObjective,
+    brute_force_opt,
     check_submodular_monotone,
     marginal_gain,
     sensitivity_probe,
 )
-from support import ModularObjective, brute_force_opt
 
 
 class SquaredSize(ObjectiveOracle):
