@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -42,6 +43,7 @@ def _cmd_run(args) -> int:
 def _cmd_gen_synth(args) -> int:
     rng = np.random.default_rng(args.seed)
     cloud = synth_mixture(args.components, args.points_per_component, args.box_side, rng)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("x,y\n")
         for x, y in cloud.points:

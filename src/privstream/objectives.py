@@ -18,6 +18,7 @@ from .submodular import DecomposableObjective, OracleState
 # The k-medians oracle sorts its clients into a _BUCKETS x _BUCKETS grid of
 # cells over their bounding box, once, for its gain bounds.
 _BUCKETS = 24
+_CAP_ROWS = 256  # candidates per numpy pass of the gain_caps table
 
 
 def _max_pairwise_l1(clients: np.ndarray, candidates: np.ndarray) -> float:
@@ -126,10 +127,10 @@ class KMediansObjective(DecomposableObjective):
             raise ValueError("client coordinates must be finite")
         super().__init__(num_agents=len(clients))
         self.clients = clients
-        self.candidates = [tuple(map(float, v)) for v in candidates]
-        if not self.candidates:
-            raise ValueError("candidate set must be non-empty")
-        cand_arr = np.asarray(self.candidates, dtype=float)
+        cand_arr = np.asarray(candidates, dtype=float)
+        if cand_arr.ndim != 2 or cand_arr.shape[1] != 2 or len(cand_arr) == 0:
+            raise ValueError("candidates must be a non-empty (m, 2) array")
+        self.candidates = list(map(tuple, cand_arr.tolist()))
         if not np.isfinite(cand_arr).all():
             raise ValueError("candidate coordinates must be finite")
         required = _max_pairwise_l1(clients, cand_arr)
@@ -167,6 +168,7 @@ class KMediansObjective(DecomposableObjective):
         self._bucket_high = np.maximum.reduceat(members, self._bucket_starts).T.copy()
         self._xfloors: dict = {}
         self._yfloors: dict = {}
+        self._caps: dict = {}  # gain_caps's table, filled on its first call
 
     def _require_positive_normalizer(self) -> None:
         # Checked where a value is first computed, not in __init__, so a
@@ -250,6 +252,30 @@ class KMediansObjective(DecomposableObjective):
             return (top - clipped @ counts) / normalizer
 
         return bound
+
+    def gain_caps(self):
+        # gain_bounds's bound at U_b = G, which covers every state (none has a
+        # distance above G), tabulated over the candidates on the first call.
+        normalizer, counts, caps = self.normalizer, self._bucket_counts, self._caps
+        top = normalizer * self.num_agents
+        top += top * 1e-9
+
+        def fill(rows):
+            floors = np.minimum([self._floors(e) for e in rows], normalizer)
+            caps.update(zip(rows, ((top - floors @ counts) / normalizer).tolist()))
+
+        if not caps:
+            for start in range(0, len(self.candidates), _CAP_ROWS):
+                fill(self.candidates[start:start + _CAP_ROWS])
+
+        def cap(e) -> float:
+            try:
+                return caps[e]
+            except KeyError:
+                fill([e])
+                return caps[e]
+
+        return cap
 
     def _min_distances(self, S) -> np.ndarray:
         # Starts from d(p, empty) = G, as the incremental state does, so the

@@ -300,11 +300,9 @@ def _scan(f: ObjectiveOracle, V, instances, n: int) -> tuple[list, int, int]:
     leaves the scan once it halts. Raises once V outgrows n. Returns
     (states, elements streamed, threshold checks).
 
-    The rung states and an empty probe state, the last one, come from one
-    ``f.make_states`` call. When the states declare
-    ``exact_diminishing_returns``, the probe's marginal bounds every check's
-    f(e|S), so the checks get it as ``cap``; it is asked once per element
-    that reaches a live instance.
+    The rung states come from one ``f.make_states`` call. The checks get
+    ``f.gain_caps()``'s cap on every state's f(e|S), if any, as ``cap``,
+    asked once per element that reaches a live instance.
 
     Score noise is read ahead: for each window of _BLOCK elements (fewer
     once the stream bound n is closer), the live rungs' next draws for the
@@ -315,13 +313,11 @@ def _scan(f: ObjectiveOracle, V, instances, n: int) -> tuple[list, int, int]:
     would draw on its own, so answers and states do not depend on the
     windows.
     """
-    states = f.make_states(len(instances) + 1)
-    probe = states.pop()
+    states = f.make_states(len(instances))
+    gain_cap = f.gain_caps()
     # (instance, state, its next score draw) of every live rung.
     live = [(inst, state, inst.score_noise.draw)
             for inst, state in zip(instances, states) if not inst.halted]
-    if not probe.exact_diminishing_returns:
-        probe = None
     cap = None
     checks = 0
     streamed = 0
@@ -335,8 +331,8 @@ def _scan(f: ObjectiveOracle, V, instances, n: int) -> tuple[list, int, int]:
             )
         if not live:
             continue
-        if probe is not None:
-            cap = probe.marginal(e)
+        if gain_cap is not None:
+            cap = gain_cap(e)
         checks += len(live)
         if streamed > block_end:
             length = min(_BLOCK, n - streamed + 1)

@@ -23,7 +23,7 @@ class OracleState:
     this one's never answers a larger marginal, exactly in floating point,
     and that every marginal lies in [0, the empty state's marginal]
     exactly. The private scan then decides most checks from the noise
-    alone.
+    alone, against :meth:`ObjectiveOracle.gain_caps`.
     """
 
     exact_diminishing_returns = False
@@ -66,6 +66,12 @@ class ObjectiveOracle:
     def make_states(self, count: int) -> list[OracleState]:
         """``count`` fresh empty states; oracles may set them up in bulk."""
         return [self.make_state() for _ in range(count)]
+
+    def gain_caps(self):
+        """None, or a function of e no smaller than any state's marginal(e),
+        exactly; by default the empty state's, if exact_diminishing_returns."""
+        probe = self.make_state()
+        return probe.marginal if probe.exact_diminishing_returns else None
 
     def gain_bounds(self, states):
         """None, or a function of an element e that returns, for each of

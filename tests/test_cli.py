@@ -15,6 +15,14 @@ def test_gen_synth_roundtrips(tmp_path):
     assert cloud.skipped_rows == 0
 
 
+def test_gen_synth_creates_the_output_directory(tmp_path):
+    out = tmp_path / "new" / "dir" / "clients.csv"
+    code = main(["gen-synth", "--components", "1", "--points-per-component", "3",
+                 "--out", str(out)])
+    assert code == 0
+    assert len(load_points_csv(out, "x", "y")) == 3
+
+
 def test_run_with_overrides(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(

@@ -234,14 +234,40 @@ def _assert_buckets_partition_clients(f):
         assert (members <= f._bucket_high[:, b]).all()
 
 
-@given(
-    layout=st.sampled_from(["scatter", "vertical", "horizontal", "single"]),
+# Client layouts for the bound tests: zero spans on one or both axes, spans
+# of subnormal width, candidates on clients, and G tight inside the 1e-9
+# slack below the largest distance. picks: the states' accepted sequences.
+_BOUND_LAYOUTS = dict(
+    layout=st.sampled_from(["scatter", "vertical", "horizontal", "single", "subnormal"]),
     clients=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=40),
     candidates=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=8),
     coincide=st.booleans(),
     tight=st.booleans(),
     picks=st.lists(st.lists(st.integers(0, 11), max_size=6), min_size=1, max_size=4),
 )
+
+
+def _layout_oracle(layout, clients, candidates, coincide, tight):
+    # The oracle for one of _BOUND_LAYOUTS, or None when G would be 0 or
+    # below (see test_kmedians_degenerate_normalizer).
+    if layout == "vertical":
+        clients = [(clients[0][0], y) for _, y in clients]
+    elif layout == "horizontal":
+        clients = [(x, clients[0][1]) for x, _ in clients]
+    elif layout == "single":
+        clients = clients[:1]
+    elif layout == "subnormal":
+        clients = [(x * 1e-315, y * 1e-315) for x, y in clients]
+    if coincide:
+        candidates = candidates + clients[:4]
+    required = _max_pairwise_l1(np.asarray(clients, dtype=float),
+                                np.asarray(candidates, dtype=float))
+    if not required > 1e-9:
+        return None
+    return kmedians_oracle(clients, candidates, required - 1e-9 if tight else None)
+
+
+@given(**_BOUND_LAYOUTS)
 @example(layout="single", clients=[(1.0, 2.0)], candidates=[(1.0, 2.0), (4.0, -3.0)],
          coincide=False, tight=True, picks=[[], [0], [0, 0], [1, 0, 1]])
 @example(layout="vertical", clients=[(0.5, 0.0), (0.0, 7.25), (0.0, -3.0)],
@@ -266,19 +292,9 @@ def test_kmedians_gain_bounds_never_fall_below_a_marginal(layout, clients, candi
                                                           coincide, tight, picks):
     # No tolerance: each state's bound must be >= the marginal it computes,
     # including for elements it holds (gain 0) or accepted twice.
-    if layout == "vertical":
-        clients = [(clients[0][0], y) for _, y in clients]
-    elif layout == "horizontal":
-        clients = [(x, clients[0][1]) for x, _ in clients]
-    elif layout == "single":
-        clients = clients[:1]
-    if coincide:
-        candidates = candidates + clients[:4]
-    required = _max_pairwise_l1(np.asarray(clients, dtype=float),
-                                np.asarray(candidates, dtype=float))
-    if not required > 1e-9:
-        return  # G would be 0 or below: see test_kmedians_degenerate_normalizer
-    f = kmedians_oracle(clients, candidates, required - 1e-9 if tight else None)
+    f = _layout_oracle(layout, clients, candidates, coincide, tight)
+    if f is None:
+        return
     _assert_buckets_partition_clients(f)
     states = []
     for sequence in picks:
@@ -287,11 +303,45 @@ def test_kmedians_gain_bounds_never_fall_below_a_marginal(layout, clients, candi
             state.accept(f.candidates[i % len(f.candidates)])
         states.append(state)
     bound = f.gain_bounds(states)
-    for e in f.candidates + [tuple(p) for p in clients]:
+    for e in f.candidates + [tuple(p) for p in f.clients.tolist()]:
         caps = bound(e)
         assert len(caps) == len(states)
         for cap, state in zip(caps, states):
             assert cap >= state.marginal(e)
+
+
+@given(**_BOUND_LAYOUTS)
+@example(layout="single", clients=[(1.0, 2.0)], candidates=[(1.0, 2.0), (4.0, -3.0)],
+         coincide=False, tight=True, picks=[[0], [0, 0], [2, 1]])
+@example(layout="subnormal", clients=[(0.0, 0.0), (1e3, 5.0), (500.0, 0.0)],
+         candidates=[(3.0, -1.0)], coincide=True, tight=True, picks=[[1], [2, 0]])
+# Without its 1e-9 T slack, the cap of (0, 0) falls below its empty gain.
+@example(layout="scatter",
+         clients=[(0.0, 0.0), (0.0, 1.0295263409814197), (339.30144423770184, -1.169629084415078)],
+         candidates=[(0.0, 0.0)], coincide=False, tight=False, picks=[[]])
+@settings(max_examples=200, deadline=None)
+def test_kmedians_gain_caps_never_fall_below_a_marginal(layout, clients, candidates,
+                                                        coincide, tight, picks):
+    # No tolerance: one cap per element bounds every state's marginal, the
+    # empty state's and those after accepts, for each candidate and for one
+    # element that is not a candidate, whose cap is computed on its own.
+    f = _layout_oracle(layout, clients, candidates, coincide, tight)
+    if f is None:
+        return
+    (x, y), (px, py) = f.candidates[0], f.clients[0]
+    outside = ((x + px) / 2, (y + py) / 2)
+    while outside in f.candidates:
+        outside = (outside[0] + 1.0, outside[1])
+    cap = f.gain_caps()
+    assert sorted(f._caps) == sorted(set(f.candidates))
+    elements = f.candidates + [outside]
+    for sequence in [[]] + picks:
+        state = f.make_state()
+        for i in sequence:
+            state.accept(elements[i % len(elements)])
+        for e in elements:
+            assert cap(e) >= state.marginal(e)
+    assert outside in f._caps
 
 
 def test_kmedians_degenerate_oracles_build_their_buckets():
@@ -310,6 +360,16 @@ def test_kmedians_degenerate_oracles_build_their_buckets():
     bound = f.gain_bounds([f.make_state()])
     with pytest.raises(ValueError, match="normalizer is 0"):
         bound((0.0, 0.0))
+    with pytest.raises(ValueError, match="normalizer is 0"):
+        f.gain_caps()((0.0, 0.0))
+
+
+def test_kmedians_candidates_must_be_points_in_the_plane():
+    # A third coordinate used to build with an explicit G, and the first
+    # marginal then failed to unpack it; G's check read two coordinates.
+    for candidates in ([(0, 0, 5), (1, 2, 7)], [], [1.0, 2.0], [[(0, 0)], [(1, 1)]]):
+        with pytest.raises(ValueError, match=r"candidates must be a non-empty \(m, 2\) array"):
+            kmedians_oracle([[0, 0], [1, 1]], candidates, normalizer=10.0)
 
 
 def test_kmedians_cost_identity():

@@ -563,7 +563,7 @@ def test_noise_first_scan_ties():
 
 def test_noise_first_pssm_skips_most_marginals():
     # 2,000 clients: with 500, the rungs' noise decided every check of this
-    # run, and only the probe asked for marginals.
+    # run.
     rng = np.random.default_rng(14)
     f = kmedians_oracle(rng.uniform(0, 20, size=(2000, 2)),
                         [tuple(p) for p in rng.uniform(0, 20, size=(150, 2))])
@@ -579,19 +579,52 @@ def test_noise_first_pssm_skips_most_marginals():
     make_states = f.make_states
 
     def counting_states(count):
-        # The scan asks for its rungs' states and, last, its empty probe;
-        # only the rungs' marginals count.
+        # The scan asks for its rungs' states, one each, and nothing more.
         requested.append(count)
         states = make_states(count)
-        for state in states[:-1]:
+        for state in states:
             state.__class__ = CountingState
         return states
 
     f.make_states = counting_states
     cfg = make_cfg(noise_kind=LAPLACE, k=5, m_bound=2000.0, master_seed=3)
     _, diag = pssm(f, f.candidates, cfg)
-    assert requested == [diag.num_guesses + 1]
+    assert requested == [diag.num_guesses]
     assert 0 < calls[0] < diag.marginal_calls / 2
+
+
+def _grid_instance(kind, seed):
+    # 2,000 clients, a 12 x 12 grid of candidates and a shuffled stream.
+    rng = np.random.default_rng(21)
+    clients = rng.uniform(0, 20, size=(2000, 2))
+    side = np.linspace(0, 20, 12)
+    grid = [(x, y) for y in side for x in side]
+    V = [grid[i] for i in np.random.default_rng(seed).permutation(len(grid))]
+    cfg = make_cfg(noise_kind=kind, k=5, m_bound=2000.0, master_seed=seed)
+    return clients, grid, V, cfg
+
+
+@pytest.mark.parametrize("kind, seed", [(LAPLACE, 0), (GUMBEL, 1)])
+def test_pssm_on_a_cold_oracle_matches_a_warm_one(kind, seed):
+    # Which marginals a run computes depends on what the oracle has cached;
+    # its answers, draws and selection must not.
+    clients, grid, V, cfg = _grid_instance(kind, seed)
+    warm = kmedians_oracle(clients, grid)
+    state = warm.make_state()
+    for e in grid:
+        state.marginal(e)
+    assert len(warm._empty_gains) == len(grid)
+    assert pssm(kmedians_oracle(clients, grid), V, cfg) == pssm(warm, V, cfg)
+
+
+@pytest.mark.parametrize("kind, seed", [(LAPLACE, 0), (GUMBEL, 1)])
+def test_pssm_computes_few_exact_empty_gains(kind, seed):
+    # The checks' caps come from the oracle's table, so an exact empty-state
+    # gain is computed only where a check's noise leaves the answer open.
+    clients, grid, V, cfg = _grid_instance(kind, seed)
+    f = kmedians_oracle(clients, grid)
+    _, diag = pssm(f, V, cfg)
+    assert len(f._empty_gains) < diag.stream_length / 10
 
 
 @pytest.mark.parametrize("kind", [LAPLACE, GUMBEL, ZERO_FOR_TEST])
