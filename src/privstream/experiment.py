@@ -153,7 +153,7 @@ def _load_clients(cfg: ExperimentConfig) -> PointCloud:
 
 def _build_stream(cfg: ExperimentConfig, clients: PointCloud) -> list[tuple[float, float]]:
     grid = make_grid(clients.bounding_box, cfg.grid_side)
-    return [tuple(p) for p in grid.points]
+    return list(map(tuple, grid.points.tolist()))  # Python floats, not numpy scalars
 
 
 def _stream_for_rep(cfg: ExperimentConfig, base_stream: list, rep: int) -> list:

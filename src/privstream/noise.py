@@ -10,11 +10,13 @@ counter, the j-th draw of a stream is a pure function of (seed, j):
 :meth:`NoiseSource.draw` takes one step, and :func:`draw_block` takes the
 next ``count`` steps of several streams at once as numpy ``uint64``
 arithmetic, returning exactly what ``count`` calls of ``draw()`` on each
-would. Both apply the inverse CDF with ``math.log``, whose results numpy's
-``log`` does not always match to the last bit. The private selection is no
-separate sampler either:
-:func:`private_argmax` adds one draw of a Gumbel source of scale
-2*sens/(eps/2) to each rung's value (``pssm`` spends half its epsilon on it).
+would. Both apply the inverse CDF with ``math.log``; numpy's ``log``,
+off in the last bit on about 0.35% of inputs, gives
+:func:`draw_block_approx`'s values, each with the uniform that
+:func:`inverse_cdf` maps to the exact draw. The private selection is no
+separate sampler either: :func:`private_argmax` adds one draw of a Gumbel
+source of scale 2*sens/(eps/2) to each rung's value (``pssm`` spends half
+its epsilon on it).
 
 Randomness here is statistical, not cryptographic, and no floating-point
 hardening (snapping etc.) is applied; see README for the caveats.
@@ -37,6 +39,11 @@ _U_LO = 2.0 ** -53
 
 _MASK64 = (1 << 64) - 1
 _STEP = 0x9E3779B97F4A7C15  # splitmix64's counter increment
+
+# draw_block_approx's draws are less than APPROX_SLACK * scale off the exact
+# ones: a draw is at most 37 * scale in size (ln 2^-53 = -36.7), numpy 2.4's
+# log on x86-64 was at most 1 ulp off there, and the tests ask 2^-40 * scale.
+APPROX_SLACK = 2.0 ** -30
 
 _log = math.log
 
@@ -141,11 +148,39 @@ def draw_block(sources, count: int) -> list[list[float]]:
     inverse CDF applies ``math.log`` to each value, and its other steps are
     single IEEE operations that numpy rounds as Python does.
     """
+    return _block(sources, count, _exact_log)[0]
+
+
+def draw_block_approx(sources, count: int) -> tuple[list[list[float]], list[list]]:
+    """(values, uniforms): :func:`draw_block`'s draws with numpy's ``log``,
+    less than ``APPROX_SLACK * scale`` off, and the uniforms of the exact
+    draws. Zero sources, and scales at which the slack could underflow or a
+    draw overflow, give exact draws and None for uniforms."""
+    if sources[0].kind == ZERO_FOR_TEST or not 2.0 ** -900 < sources[0].scale < 2.0 ** 900:
+        return draw_block(sources, count), [[None] * count for _ in sources]
+    values, u = _block(sources, count, np.log)
+    return values, u.tolist()
+
+
+def inverse_cdf(kind: str, scale: float, u: float) -> float:
+    """The draw of a ``kind`` source of scale ``scale`` at the uniform ``u``.
+    draw() inlines the same lines: the call would add ~6% to a scalar draw."""
+    if kind == GUMBEL:
+        return -scale * _log(-_log(u))
+    u -= 0.5
+    if u >= 0:
+        return -scale * _log(1.0 - 2.0 * u)
+    return scale * _log(1.0 + 2.0 * u)
+
+
+def _block(sources, count: int, log):
+    # (draws, uniforms) of the sources' next count steps, the draws through
+    # inverse_cdf with ``log`` for ln; zero sources give zeros and None.
     kind, scale = sources[0].kind, sources[0].scale
     if any(s.kind != kind or s.scale != scale for s in sources):
         raise ValueError("a block's sources must share one kind and scale")
     if kind == ZERO_FOR_TEST:
-        return [[0.0] * count for _ in sources]
+        return [[0.0] * count for _ in sources], None
     z = np.array([s._state for s in sources], dtype=np.uint64)[:, None]
     z = z + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_STEP)
     advance = count * _STEP
@@ -157,19 +192,16 @@ def draw_block(sources, count: int) -> list[list[float]]:
     z *= np.uint64(0x94D049BB133111EB)
     z ^= z >> 31
     z >>= 11
-    u = z * 1.1102230246251565e-16
-    np.maximum(u, _U_LO, out=u)
+    u = np.maximum(z, 1, out=z) * 1.1102230246251565e-16  # a 0 becomes _U_LO
     if kind == GUMBEL:
-        # -scale * ln(-ln u)
-        t = -np.fromiter(map(_log, u.ravel().tolist()), np.float64, u.size)
-        factor = -scale
-    else:
-        # 1 - 2|u - 1/2| is the argument of both of draw()'s Laplace logs.
-        u -= 0.5
-        t = 1.0 - 2.0 * np.abs(u.ravel())
-        factor = np.where(u >= 0, -scale, scale)
-    logs = np.fromiter(map(_log, t.tolist()), np.float64, u.size).reshape(u.shape)
-    return (factor * logs).tolist()
+        return (-scale * log(-log(u))).tolist(), u
+    # 1 - 2|u - 1/2| is the argument of both of inverse_cdf's Laplace logs.
+    return (np.where(u >= 0.5, -scale, scale) * log(1.0 - 2.0 * np.abs(u - 0.5))).tolist(), u
+
+
+def _exact_log(x):
+    # np.vectorize(math.log) read 2-4% slower on private_sweep than this map.
+    return np.fromiter(map(_log, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
 def _check_kind(kind: str, scale: float) -> None:

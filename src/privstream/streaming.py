@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -19,7 +20,8 @@ from operator import itemgetter
 import numpy as np
 
 from .accounting import BudgetSplit, PrivacyParams, split_budget
-from .noise import GUMBEL, LAPLACE, ZERO_FOR_TEST, NoiseSource, draw_block, private_argmax
+from .noise import (APPROX_SLACK, GUMBEL, LAPLACE, ZERO_FOR_TEST, NoiseSource, draw_block,
+                    draw_block_approx, inverse_cdf, private_argmax)
 from .submodular import ObjectiveOracle
 
 
@@ -248,7 +250,7 @@ class SparseInstance:
         self.halted = self.capacity <= 0
         self._alpha = threshold_noise.draw() if not self.halted else 0.0
 
-    def step(self, state, e, cap: float | None, beta: float) -> bool:
+    def step(self, state, e, cap: float | None, beta: float, u: float | None = None) -> bool:
         """Answer the query f(e|S) of ``state`` with score noise ``beta``, the
         next draw of ``score_noise``; True means Top. Halted instances
         always answer Bottom without touching the threshold noise.
@@ -258,11 +260,20 @@ class SparseInstance:
         (Bottom): float addition rounds monotonically, so f(e|S) + beta lies
         between beta and cap + beta. Only the noisy bars in between ask the
         state for its marginal; the answers, draws and their order are those
-        of checking every marginal.
+        of checking every marginal. With a uniform ``u``, beta is
+        :func:`draw_block_approx`'s, within s = APPROX_SLACK * scale of the
+        exact draw, so beta - s >= bar settles Top and cap + (beta + s) < bar
+        Bottom, rounding included; other checks recompute the draw from u.
         """
         if self.halted:
             return False
         bar = self.threshold + self._alpha
+        if u is not None:
+            slack = self.score_noise.scale * APPROX_SLACK
+            if cap is not None and cap + (beta + slack) < bar:
+                return False
+            if beta - slack < bar:
+                beta = inverse_cdf(self.score_noise.kind, self.score_noise.scale, u)
         if beta < bar:
             if cap is not None and cap + beta < bar:
                 return False
@@ -287,11 +298,12 @@ class _Drawn:
 # Score noise is drawn for _BLOCK elements at a time, one block for all live
 # rungs, when that makes at least _BLOCK_GATE draws; smaller windows draw one
 # value per check. A run's threshold noise, at most k values per rung, is
-# drawn in one block by the same gate. On a 2-core x86 machine (Python 3.11,
-# numpy 2.4) a block cost ~30 us plus ~0.3-0.4 us per value against ~1.5 us
-# per scalar draw, so below about 32 values a block saves nothing.
+# drawn in one exact block by the same gate. On a 2-core x86 machine (Python
+# 3.11, numpy 2.4) a score block costs ~12-17 us plus ~0.05 us per value,
+# an exact block ~0.15-0.25 us per value, and a scalar draw ~0.7-0.8 us.
 _BLOCK = 32
 _BLOCK_GATE = 32
+_EXACT = itertools.repeat(None).__next__  # the uniform of a scalar, exact draw
 
 
 def _scan(f: ObjectiveOracle, V, instances, n: int) -> tuple[list, int, int]:
@@ -306,17 +318,18 @@ def _scan(f: ObjectiveOracle, V, instances, n: int) -> tuple[list, int, int]:
 
     Score noise is read ahead: for each window of _BLOCK elements (fewer
     once the stream bound n is closer), the live rungs' next draws for the
-    whole window come from one :func:`draw_block` call when there are at
-    least _BLOCK_GATE of them, and each check consumes its rung's next
-    value. Draws past a rung's halt or the end of V are discarded; nothing
-    reads a score source after the scan. Each check consumes the value it
-    would draw on its own, so answers and states do not depend on the
-    windows.
+    whole window come from one :func:`draw_block_approx` call when there
+    are at least _BLOCK_GATE of them, and each check consumes its rung's
+    next value and uniform. Draws past a rung's halt or the end of V are
+    discarded; nothing reads a score source after the scan. Each check
+    decides as the value it would draw on its own does, so answers and
+    states do not depend on the windows.
     """
     states = f.make_states(len(instances))
     gain_cap = f.gain_caps()
-    # (instance, state, its next score draw) of every live rung.
-    live = [(inst, state, inst.score_noise.draw)
+    # (instance, state, its next score draw, that draw's uniform or None
+    # for an exact draw) of every live rung.
+    live = [(inst, state, inst.score_noise.draw, _EXACT)
             for inst, state in zip(instances, states) if not inst.halted]
     cap = None
     checks = 0
@@ -338,14 +351,16 @@ def _scan(f: ObjectiveOracle, V, instances, n: int) -> tuple[list, int, int]:
             length = min(_BLOCK, n - streamed + 1)
             block_end = streamed + length - 1
             if len(live) * length >= _BLOCK_GATE:
-                rows = draw_block([inst.score_noise for inst, _, _ in live], length)
-                live = [(inst, state, iter(row).__next__)
-                        for (inst, state, _), row in zip(live, rows)]
+                rows, uniforms = draw_block_approx(
+                    [inst.score_noise for inst, _, _, _ in live], length)
+                live = [(inst, state, iter(row).__next__, iter(us).__next__)
+                        for (inst, state, _, _), row, us in zip(live, rows, uniforms)]
             elif streamed > 1:  # the previous window may have read a block
-                live = [(inst, state, inst.score_noise.draw) for inst, state, _ in live]
+                live = [(inst, state, inst.score_noise.draw, _EXACT)
+                        for inst, state, _, _ in live]
         halted = False
-        for inst, state, next_beta in live:
-            if inst.step(state, e, cap, next_beta()):
+        for inst, state, next_beta, next_u in live:
+            if inst.step(state, e, cap, next_beta(), next_u()):
                 state.accept(e)
                 halted = halted or inst.halted
         if halted:

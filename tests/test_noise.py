@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from privstream.accounting import PrivacyParams
 from privstream.noise import (
+    APPROX_SLACK,
     GUMBEL,
     LAPLACE,
     ZERO_FOR_TEST,
     NoiseSource,
     derive_seed,
     draw_block,
+    draw_block_approx,
+    inverse_cdf,
     private_argmax,
 )
 from privstream.objectives import coverage_oracle
@@ -179,6 +182,41 @@ def test_draw_block_clamps_a_zero_uniform(kind):
             rows = draw_block(sources, 40)
             assert bits(rows) == bits(scalar_block(twins, 40))
             assert (rows[1][position - 1] == expected) == (out < 4096)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", [LAPLACE, GUMBEL])
+def test_draw_block_approx_stays_far_inside_its_slack(kind):
+    # 2^20 uniforms per scale, in blocks of 16 sources x 4096 draws; each
+    # block's first two sources start at the clamped ends 2^-53 (a zero
+    # finalizer output) and 1 - 2^-53 (all ones). The scan's certificates
+    # need the gap below the slack; 2^10 below it leaves room for a numpy
+    # whose log is a few ulps off math.log.
+    ends = (unfinalize(0), unfinalize(MASK64))
+    for scale in (1e-3, 0.3, 2.5, 117.0):
+        largest = 0.0
+        for chunk in range(16):
+            sources = [NoiseSource(kind, scale, seed=(chunk, i)) for i in range(16)]
+            twins = [NoiseSource(kind, scale, seed=(chunk, i)) for i in range(16)]
+            for i, counter in enumerate(ends):
+                sources[i]._state = twins[i]._state = (counter - STEP) & MASK64
+            approx, uniforms = draw_block_approx(sources, 4096)
+            exact = draw_block(twins, 4096)
+            assert (uniforms[0][0], uniforms[1][0]) == (2.0 ** -53, 1 - 2.0 ** -53)
+            assert [inverse_cdf(kind, scale, u) for u in uniforms[0]] == exact[0]
+            assert [s._state for s in sources] == [s._state for s in twins]
+            largest = max(largest, float(np.abs(np.subtract(approx, exact)).max()))
+        assert largest <= scale * APPROX_SLACK / 2 ** 10
+
+
+def test_draw_block_approx_zero_and_extreme_scales_are_exact():
+    for scale in (0.0, 1.0):
+        zero = [NoiseSource(ZERO_FOR_TEST, scale, seed=i) for i in range(2)]
+        assert draw_block_approx(zero, 3) == ([[0.0] * 3] * 2, [[None] * 3] * 2)
+    for scale in (2.0 ** -1000, 2.0 ** 1000):
+        sources = [NoiseSource(GUMBEL, scale, seed=i) for i in range(2)]
+        twins = [NoiseSource(GUMBEL, scale, seed=i) for i in range(2)]
+        assert draw_block_approx(sources, 40) == (draw_block(twins, 40), [[None] * 40] * 2)
 
 
 def test_draw_block_validation_and_zero_sources():

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import math
 
@@ -8,7 +9,14 @@ from hypothesis import strategies as st
 
 from privstream import streaming
 from privstream.accounting import PrivacyParams
-from privstream.noise import GUMBEL, LAPLACE, ZERO_FOR_TEST, NoiseSource
+from privstream.noise import (
+    GUMBEL,
+    LAPLACE,
+    ZERO_FOR_TEST,
+    NoiseSource,
+    draw_block_approx,
+    inverse_cdf,
+)
 from privstream.objectives import coverage_oracle, kmedians_oracle
 from privstream.streaming import (
     PssmConfig,
@@ -377,35 +385,52 @@ class RecordedNoise:
         return x
 
 
+# One check a RecordingInstance answered: the beta and uniform it was given,
+# its bar and cap, its answer, and the exact draw if step recomputed it.
+Check = collections.namedtuple("Check", "beta u bar cap answer exact")
+
+
 class RecordingInstance(SparseInstance):
-    """A SparseInstance that records the score noise each check consumes:
-    the scan draws score noise ahead in blocks, so a source's draws are not
-    what its checks consumed."""
+    """A SparseInstance that records each check it answers while live. The
+    scan draws score noise ahead in blocks, so a source's draws are not what
+    its checks consumed, and a block's beta is within the slack of the draw
+    rather than the draw itself."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.betas = []
+        self.checks = []
 
-    def step(self, state, e, cap, beta):
-        if not self.halted:
-            self.betas.append(beta)
-        return super().step(state, e, cap, beta)
+    def step(self, state, e, cap, beta, u=None):
+        if self.halted:
+            return super().step(state, e, cap, beta, u)
+        bar = self.threshold + self._alpha
+        exact = []  # the exact draw, when step recomputes it from u
+        real = streaming.inverse_cdf
+        streaming.inverse_cdf = lambda *args: exact.append(real(*args)) or exact[-1]
+        try:
+            answer = super().step(state, e, cap, beta, u)
+        finally:
+            streaming.inverse_cdf = real
+        self.checks.append(Check(beta, u, bar, cap, answer, exact[0] if exact else None))
+        return answer
 
 
 def reference_scan(f, V, instances):
     # The scan and step before noise-first checks and block draws: every
     # live rung asks its state for f(e|S), then draws its score noise on
-    # its own and compares.
+    # its own and compares. Returns the states, the checks and each rung's
+    # score draws.
     states = [f.make_state() for _ in instances]
+    betas = [[] for _ in instances]
     checks = 0
     for e in V:
-        for inst, state in zip(instances, states):
+        for inst, state, drawn in zip(instances, states, betas):
             if inst.halted:
                 continue
             checks += 1
             query_value = state.marginal(e)
             beta = inst.score_noise.draw()
-            inst.betas.append(beta)
+            drawn.append(beta)
             if query_value + beta >= inst.threshold + inst._alpha:
                 inst.count += 1
                 if inst.count >= inst.capacity:
@@ -413,7 +438,7 @@ def reference_scan(f, V, instances):
                 else:
                     inst._alpha = inst.threshold_noise.draw()
                 state.accept(e)
-    return states, checks
+    return states, checks, betas
 
 
 def make_rungs(kind, scale, seed, thresholds, k, scripts=None):
@@ -437,38 +462,60 @@ def make_rungs(kind, scale, seed, thresholds, k, scripts=None):
 
 @contextlib.contextmanager
 def recorded_blocks():
-    """Yields a list of (number of sources, count), one per block drawn."""
+    """Yields a list of (number of sources, count), one per block drawn,
+    exact or approximate."""
     blocks = []
-    real = streaming.draw_block
+    patched = {}
+    for name in ("draw_block", "draw_block_approx"):
+        real = patched[name] = getattr(streaming, name)
 
-    def draw_block(sources, count):
-        blocks.append((len(sources), count))
-        return real(sources, count)
+        def draw(sources, count, real=real):
+            blocks.append((len(sources), count))
+            return real(sources, count)
 
-    streaming.draw_block = draw_block
+        setattr(streaming, name, draw)
     try:
         yield blocks
     finally:
-        streaming.draw_block = real
+        for name, real in patched.items():
+            setattr(streaming, name, real)
 
 
 def assert_scan_matches_reference(f, V, kind, scale, seed, thresholds, k, scripts=None):
     """Runs the scan and the reference on twin rungs, asserts that each rung
-    consumed the same threshold and score noise in the same order and ended
-    in the same state; returns the scan's states and its blocks."""
+    consumed the same threshold and score noise in the same order, answered
+    each check as the exact comparison does, and ended in the same state;
+    returns the scan's states, its blocks and its rungs."""
     new = make_rungs(kind, scale, seed, thresholds, k, scripts)
     old = make_rungs(kind, scale, seed, thresholds, k, scripts)
     with recorded_blocks() as blocks:
         states, streamed, checks = _scan(f, V, new, len(V))
-    ref_states, ref_checks = reference_scan(f, V, old)
+    ref_states, ref_checks, ref_betas = reference_scan(f, V, old)
     assert (streamed, checks) == (len(V), ref_checks)
-    for a, b, state, ref in zip(new, old, states, ref_states):
+    for a, b, state, ref, betas in zip(new, old, states, ref_states, ref_betas):
         assert state.selected == ref.selected
         assert (a.count, a.halted) == (b.count, b.halted)
         assert state.value == ref.value  # per_guess_values
         assert a.threshold_noise.draws == b.threshold_noise.draws
-        assert a.betas == b.betas
-    return states, blocks
+        assert len(a.checks) == len(betas)
+        for check, beta in zip(a.checks, betas):
+            if check.u is None:
+                assert check.beta == beta
+                continue
+            exact = inverse_cdf(a.score_noise.kind, a.score_noise.scale, check.u)
+            assert exact == beta
+            if check.exact is not None:
+                assert check.exact == beta
+            else:
+                # Certified: the exact comparison decides without a marginal.
+                assert check.answer == (beta >= check.bar)
+                assert check.answer or check.cap + beta < check.bar
+    return states, blocks, new
+
+
+def certified(rungs):
+    """How many checks of the rungs were answered from an approximate beta."""
+    return sum(c.u is not None and c.exact is None for r in rungs for c in r.checks)
 
 
 def exactness_oracles(rng):
@@ -492,6 +539,7 @@ def exactness_oracles(rng):
 def test_noise_first_scan_matches_reference(kind, oracle_index):
     # Noise from far below to far above the gains, thresholds across them,
     # streams with repeated elements, capacities 1-4.
+    certified_checks = 0
     for trial in range(12):
         rng = np.random.default_rng([oracle_index, trial])
         f, domain = exactness_oracles(rng)[oracle_index]
@@ -503,10 +551,13 @@ def test_noise_first_scan_matches_reference(kind, oracle_index):
         top = max(f.make_state().marginal(e) for e in domain)
         thresholds = sorted(rng.uniform(0.0, 1.2 * top, size=6))
         scale = 0.0 if kind == ZERO_FOR_TEST else top * (0.02, 0.3, 3.0)[trial % 3]
-        _, blocks = assert_scan_matches_reference(f, V, kind, scale, trial, thresholds,
-                                                  k=1 + trial % 4)
+        _, blocks, rungs = assert_scan_matches_reference(f, V, kind, scale, trial, thresholds,
+                                                         k=1 + trial % 4)
         assert bool(blocks) == (length > 5)
+        certified_checks += certified(rungs)
         assert all(count == min(32, length - 32 * j) for j, (_, count) in enumerate(blocks))
+    # Blocks of real noise answer checks from their approximate betas.
+    assert (certified_checks > 0) == (kind != ZERO_FOR_TEST)
 
 
 def test_scan_block_gate_and_mixed_windows():
@@ -515,16 +566,16 @@ def test_scan_block_gate_and_mixed_windows():
     f = coverage_oracle([int(r) for r in np.random.default_rng(5).integers(0, 6, size=30)])
     V = [i % 6 for i in range(40)]
     for kind in (LAPLACE, GUMBEL):
-        states, blocks = assert_scan_matches_reference(f, V, kind, 0.5, 9, [2.0], 40)
+        states, blocks, _ = assert_scan_matches_reference(f, V, kind, 0.5, 9, [2.0], 40)
         assert blocks == [(1, 32)]
         assert len(states[0].selected) < 40
     # Below the gate from the start: 5 rungs of 6 elements read 30 draws.
-    _, blocks = assert_scan_matches_reference(f, V[:6], LAPLACE, 0.5, 9, [1.0] * 5, 2)
+    _, blocks, _ = assert_scan_matches_reference(f, V[:6], LAPLACE, 0.5, 9, [1.0] * 5, 2)
     assert blocks == []
     # A rung that halts inside a block discards the rest of its row, and the
     # next block is drawn for the rungs still live.
-    _, blocks = assert_scan_matches_reference(f, V * 2, LAPLACE, 0.01, 3,
-                                              [0.1, 1.0, 1e6], 2)
+    _, blocks, _ = assert_scan_matches_reference(f, V * 2, LAPLACE, 0.01, 3,
+                                                 [0.1, 1.0, 1e6], 2)
     assert blocks[0] == (3, 32) and blocks[1][0] < 3
 
 
@@ -532,14 +583,14 @@ def test_noise_first_scan_ties():
     # beta == bar: Top without the marginal, and 0 + beta >= bar agrees.
     # Then 0's gain 2 with beta = -1 stays below bar = 1.5 + 0.
     f = coverage_oracle([0, 0, 1])
-    states, _ = assert_scan_matches_reference(
+    states, _, _ = assert_scan_matches_reference(
         f, [5, 0], ZERO_FOR_TEST, 0.0, 0, [1.5], 2,
         scripts={(0, 0): [0.5, 0.0], (0, 1): [2.0, -1.0]})
     assert states[0].selected == [5]
     # cap + beta == bar: undecided, so the marginal decides. Element 0 has
     # cap 2; bar = 1 + 0 and beta = -1 tie for the empty state (Top), and
     # its repeat gains 0 < 2 (Bottom).
-    states, _ = assert_scan_matches_reference(
+    states, _, _ = assert_scan_matches_reference(
         f, [0, 0], ZERO_FOR_TEST, 0.0, 0, [1.0], 2,
         scripts={(0, 1): [-1.0, -1.0]})
     assert states[0].selected == [0]
@@ -550,7 +601,7 @@ def test_noise_first_scan_ties():
     e = g.candidates[0]
     cap = g.make_state().marginal(e)
     beta = -0.3 * cap
-    states, _ = assert_scan_matches_reference(
+    states, _, _ = assert_scan_matches_reference(
         g, [e, g.candidates[1], e], ZERO_FOR_TEST, 0.0, 0, [cap + beta], 3,
         scripts={(0, 1): [beta, beta, beta]})
     assert states[0].selected[0] == e
@@ -558,10 +609,49 @@ def test_noise_first_scan_ties():
     # evaluate-difference gain of 0.2 is (0.1 + 0.2) - 0.1 > 0.2, and a bar
     # at that gain is Top although the empty-state gain 0.2 lies below it.
     h = ModularObjective({"a": 0.1, "b": 0.2})
-    states, _ = assert_scan_matches_reference(
+    states, _, _ = assert_scan_matches_reference(
         h, ["a", "b"], ZERO_FOR_TEST, 0.0, 0, [(0.1 + 0.2) - 0.1], 2,
         scripts={(0, 0): [0.0, 0.0], (0, 1): [1.0, 0.0]})
     assert states[0].selected == ["a", "b"]
+
+
+def _near_tie_seed(kind, cap):
+    """The first seed whose rung 0 score source of make_rungs(kind, 1.0,
+    seed, ...) starts with a draw that numpy's log puts below the exact one,
+    also once cap is added to both; None if numpy's log matched throughout."""
+    for seed in range(20_000):
+        values, uniforms = draw_block_approx([NoiseSource(kind, 2.0, seed=(seed, 0, 1))], 1)
+        exact = inverse_cdf(kind, 2.0, uniforms[0][0])
+        if cap + values[0][0] < cap + exact:
+            return seed
+    return None
+
+
+@pytest.mark.parametrize("kind", [LAPLACE, GUMBEL])
+@pytest.mark.parametrize("cap", [0.0, 1.0])
+def test_scan_answers_near_ties_as_the_exact_draw_does(kind, cap, monkeypatch):
+    # One rung of capacity 1 reads a block of 32 draws; its first check has
+    # the bar at cap + the exact draw. Label 1 gains 0 (cap 0), so the exact
+    # answer is Top by beta >= bar; label 0 gains 1 (cap 1), so cap + beta
+    # == bar leaves it open and f(e|empty) + beta >= bar answers Top. The
+    # block's beta lies an ulp below the exact draw, so only the slack keeps
+    # cap + beta < bar from certifying Bottom.
+    f = coverage_oracle([0])
+    e = 1 if cap == 0.0 else 0
+    V = [e] + list(range(10, 41))  # the rest gain 0
+    found = _near_tie_seed(kind, cap)
+    seed = 0 if found is None else found
+    bar = cap + NoiseSource(kind, 2.0, seed=(seed, 0, 1)).draw()
+    scripts = {(0, 0): [0.0]}  # alpha = 0, so the bar is the threshold
+    states, blocks, rungs = assert_scan_matches_reference(f, V, kind, 1.0, seed, [bar], 1,
+                                                          scripts=scripts)
+    assert blocks == [(1, 32)] and states[0].selected == [e]
+    if found is None:
+        pytest.skip("numpy's log matched math.log on every draw searched")
+    assert rungs[0].checks[0].exact is not None  # the exact draw decided
+    monkeypatch.setattr(streaming, "APPROX_SLACK", 0.0)
+    states, _, _ = _scan(f, V, make_rungs(kind, 1.0, seed, [bar], 1, scripts), len(V))
+    assert states[0].selected[:1] != [e]
 
 
 def test_noise_first_pssm_skips_most_marginals():
