@@ -7,10 +7,10 @@ produces identical output files.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 import typing
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from .noise import GUMBEL, LAPLACE, derive_seed
 from .objectives import kmedians_oracle
 from .streaming import (
     PssmConfig,
+    _is_int,
     build_guess_ladder,
     ladder_floor,
     pssm,
@@ -68,15 +69,13 @@ class ExperimentConfig:
         # same contract.
         for name in _INT_FIELDS:
             value = getattr(self, name)
-            if value is not None and (
-                    isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            if value is not None and not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         if self.max_rows is not None and self.max_rows < 1:
             raise ValueError(f"max_rows must be auto or at least 1, got {self.max_rows}")
-        if not self.k_values or not all(
-                isinstance(k, numbers.Integral) and k >= 1 for k in self.k_values):
+        if not self.k_values or not all(_is_int(k) and k >= 1 for k in self.k_values):
             raise ValueError(f"k_values must be a non-empty list of integers >= 1, "
                              f"got {self.k_values}")
         if not self.epsilon_values or not all(
@@ -89,6 +88,9 @@ class ExperimentConfig:
         if len({format_eps(eps) for eps in self.epsilon_values}) < len(self.epsilon_values):
             raise ValueError(f"epsilon_values must not repeat a value or share a "
                              f"file label, got {self.epsilon_values}")
+        if "/" in self.prefix or "\\" in self.prefix:
+            raise ValueError(f"prefix must not contain a path separator, got {self.prefix!r}; "
+                             f"set out_dir to choose the directory")
         if not 0 < self.theta < 1:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         if not 0 < self.eta < 1:
@@ -222,17 +224,9 @@ def _run_nonprivate(oracle, stream, cfg, best_singleton):
     ladder_sets = threshold_stream_with_tail_fill(oracle, stream, unions)
     solved_by_guess = {(k, O): solved for k, sets in ladder_sets.items()
                        for O, solved in zip(unions[k], zip(sets, sets.values))}
-    solved = {}
-    for (k, epsilon), guesses in ladders.items():
-        best_set: list = []
-        best_value = -math.inf
-        for O in guesses:
-            S, value = solved_by_guess[k, O]
-            if value > best_value:
-                best_value = value
-                best_set = S
-        solved[k, epsilon] = best_set
-    return solved
+    # max keeps the first of equal values.
+    return {(k, epsilon): max((solved_by_guess[k, O] for O in guesses), key=itemgetter(1))[0]
+            for (k, epsilon), guesses in ladders.items()}
 
 
 def _run_random(stream, k, seed):
@@ -360,8 +354,6 @@ def emit_csv(report: RunReport, out_dir, prefix: str = "") -> list[Path]:
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 _INT_FIELDS = [name for name, kind in _FIELD_TYPES.items() if kind in (int, int | None)]
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-# Optional fields read these words as None; for delta that is 1/|P|^1.5.
-_NONE_WORDS = ("auto", "inverse_n_1p5")
 
 
 def _parse_value(key: str, raw: str):
@@ -372,7 +364,7 @@ def _parse_value(key: str, raw: str):
     raw = raw.strip()
     args = typing.get_args(kind)
     if type(None) in args:
-        if raw.lower() in _NONE_WORDS:
+        if raw.lower() == "auto":  # unset; for delta that is 1/|P|^1.5
             return None
         kind = args[0]
     if kind is bool:
@@ -389,7 +381,7 @@ def _parse_value(key: str, raw: str):
 
 def parse_config_text(text: str) -> dict:
     """Parse the flat ``key = value`` config format (# starts a comment)."""
-    values = {}
+    values, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -398,6 +390,9 @@ def parse_config_text(text: str) -> dict:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = line.split("=", 1)
         key = key.strip()
+        if key in lines:
+            raise ValueError(f"line {lineno}: {key} is already set on line {lines[key]}")
+        lines[key] = lineno
         values[key] = _parse_value(key, raw)
     return values
 

@@ -296,9 +296,6 @@ class KMediansObjective(DecomposableObjective):
         # With every client at distance G the rounded sum can exceed |P| G.
         return max(float(self.num_agents - dmin.sum() / self.normalizer), 0.0)
 
-    def agent_values(self, S) -> np.ndarray:
-        return 1.0 - self._min_distances(set(S)) / self.normalizer
-
     def clustering_cost(self, S) -> float:
         """sum_p d(p, S) with d(p, empty) = G; the quantity the benchmark reports."""
         return float(self._min_distances(set(S)).sum())
@@ -344,17 +341,11 @@ class CoverageObjective(DecomposableObjective):
     """
 
     def __init__(self, records):
-        records = list(records)
-        super().__init__(num_agents=len(records))
-        self.records = records
         self._counts = Counter(records)
+        super().__init__(num_agents=self._counts.total())
 
     def evaluate(self, S) -> float:
         return float(sum(self._counts.get(e, 0) for e in set(S)))
-
-    def agent_values(self, S) -> np.ndarray:
-        chosen = set(S)
-        return np.array([1.0 if r in chosen else 0.0 for r in self.records])
 
     def make_state(self) -> _CoverageState:
         return _CoverageState(self)

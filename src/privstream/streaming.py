@@ -60,9 +60,13 @@ def build_guess_ladder(E: float, m: float, theta: float) -> tuple[float, ...]:
     return tuple(guesses)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _check_k(k) -> None:
-    if not isinstance(k, numbers.Integral) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    if not _is_int(k) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
 
 
 def threshold_stream_with_tail_fill(f: ObjectiveOracle, V, ladders) -> dict[int, list[list]]:
@@ -391,9 +395,12 @@ class PssmConfig:
 
     def __post_init__(self):
         _check_k(self.k)
-        if self.n_bound is not None and not (
-                isinstance(self.n_bound, numbers.Integral) and self.n_bound >= 0):
-            raise ValueError(f"n_bound must be an integer >= 0, got {self.n_bound}")
+        if self.n_bound is not None and not (_is_int(self.n_bound) and self.n_bound >= 0):
+            raise ValueError(f"n_bound must be an integer >= 0, got {self.n_bound!r}")
+        # derive_seed reads a seed modulo 2^64, so anything else would alias one.
+        if not (_is_int(self.master_seed) and 0 <= self.master_seed < 2**64):
+            raise ValueError(f"master_seed must be an integer in [0, 2^64), "
+                             f"got {self.master_seed!r}")
         if not 0 < self.theta < 1:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         if self.noise_kind not in (LAPLACE, GUMBEL, ZERO_FOR_TEST):
@@ -473,17 +480,18 @@ def pssm(f: ObjectiveOracle, V, cfg: PssmConfig) -> tuple[list, RunDiagnostics]:
 
     # Rung i draws its threshold noise from stream (master_seed, i, 0) and
     # its score noise from (master_seed, i, 1); the selection draws from
-    # (master_seed, T, 2). All are spawned from one root seeded
-    # (master_seed,), which mixes only the two extra parts per stream.
+    # (master_seed, T, 2). Each rung's two sources are spawned from a root
+    # seeded (master_seed,), which mixes only the two extra parts.
     if private:
         budget = split_budget(cfg.privacy, T, cfg.noise_kind, k=cfg.k)
         scale = budget.laplace_scale if cfg.noise_kind == LAPLACE else budget.gumbel_scale
         # Lap(sigma) on the threshold vs Lap(2 sigma) on scores; Gumbel(gamma) on both.
-        threshold_root = NoiseSource(cfg.noise_kind, scale, seed=(cfg.master_seed,))
-        score_root = threshold_root.spawn(scale=2.0 * scale if cfg.noise_kind == LAPLACE else scale)
+        score_scale = 2.0 * scale if cfg.noise_kind == LAPLACE else scale
+        threshold_root = NoiseSource(cfg.noise_kind, scale, (cfg.master_seed,))
+        score_root = NoiseSource(cfg.noise_kind, score_scale, (cfg.master_seed,))
         # The exponential mechanism: Gumbel(2*sens/eps_sel) noise on each value.
-        selection_source = threshold_root.spawn(
-            T, 2, kind=GUMBEL, scale=2.0 * f.sensitivity / budget.selection_epsilon)
+        selection_source = NoiseSource(GUMBEL, 2.0 * f.sensitivity / budget.selection_epsilon,
+                                       (cfg.master_seed, T, 2))
     else:
         budget = None
         threshold_root = score_root = selection_source = NoiseSource(ZERO_FOR_TEST, 0.0, seed=0)

@@ -84,8 +84,7 @@ class DecomposableObjective(ObjectiveOracle):
     """Objective that is a sum over agents of [0, 1]-bounded submodular terms.
 
     Removing or adding one agent's record changes the total by at most 1, so
-    the declared sensitivity is 1. Subclasses expose per-agent values for the
-    sum-consistency checks.
+    the declared sensitivity is 1.
     """
 
     decomposable = True
@@ -94,7 +93,3 @@ class DecomposableObjective(ObjectiveOracle):
         if num_agents < 1:
             raise ValueError(f"need at least one agent, got {num_agents}")
         self.num_agents = num_agents
-
-    def agent_values(self, S):
-        """Per-agent utilities of S, in fixed agent order (sums to evaluate(S))."""
-        raise NotImplementedError

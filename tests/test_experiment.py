@@ -67,6 +67,8 @@ def test_parse_config_text():
         parse_config_text("mystery_key = 3")
     with pytest.raises(ValueError):
         parse_config_text("just words")
+    with pytest.raises(ValueError, match="line 3: k_values is already set on line 1"):
+        parse_config_text("k_values = 5\n# comment\nk_values = 10")
 
 
 # A non-default value for every ExperimentConfig field: raw text, parsed value.
@@ -108,7 +110,8 @@ def test_parse_config_text_every_field():
     text = "\n".join(f"{key} = {raw}" for key, (raw, _) in NON_DEFAULT_VALUES.items())
     cfg = ExperimentConfig(**parse_config_text(text))
     assert cfg == ExperimentConfig(**{k: v for k, (_, v) in NON_DEFAULT_VALUES.items()})
-    assert parse_config_text("delta = inverse_n_1p5")["delta"] is None
+    with pytest.raises(ValueError, match="delta"):
+        parse_config_text("delta = inverse_n_1p5")  # "auto" is the one spelling
     with pytest.raises(ValueError, match="boolean"):
         parse_config_text("shuffle_stream = maybe")
 
@@ -184,6 +187,24 @@ def test_config_rejects_non_integer_int_fields():
                 ExperimentConfig(**{name: wrong})
     cfg = ExperimentConfig(components=np.int64(2), max_rows=None, master_seed=-3)
     assert (cfg.components, cfg.max_rows, cfg.master_seed) == (2, None, -3)
+
+
+def test_config_rejects_path_separator_in_prefix(tmp_path):
+    # emit_csv would raise FileNotFoundError on "sub/x_" only after the
+    # whole sweep has run, so the config rejects it at load.
+    for prefix in ("sub/x_", "sub\\x_", "/x_"):
+        with pytest.raises(ValueError, match="out_dir"):
+            ExperimentConfig(prefix=prefix)
+    path = tmp_path / "cfg.txt"
+    path.write_text("prefix = desk_\n")
+    with pytest.raises(ValueError, match="path separator"):
+        load_config(path, overrides={"prefix": "sub/x_"})
+    assert load_config(path).prefix == "desk_"
+
+
+def test_config_rejects_bool_k_values():
+    with pytest.raises(ValueError, match="k_values"):
+        ExperimentConfig(k_values=(True, 5))
 
 
 def test_degenerate_instance_fails_every_cell_not_the_sweep():

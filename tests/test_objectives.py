@@ -48,8 +48,7 @@ def test_kmedians_degenerate_normalizer():
     for state in (f.make_state(), *f.make_states(2)):
         assert state.value == 0.0
         for ask in (lambda: f.evaluate([(0.0, 0.0)]), lambda: state.marginal((0.0, 0.0)),
-                    lambda: state.accept((0.0, 0.0)), lambda: f.agent_values([]),
-                    lambda: f.clustering_cost([])):
+                    lambda: state.accept((0.0, 0.0)), lambda: f.clustering_cost([])):
             with pytest.raises(ValueError, match="normalizer is 0"):
                 ask()
     for bad in (np.inf, np.nan):
@@ -64,11 +63,20 @@ def test_kmedians_degenerate_normalizer():
         kmedians_oracle([(0.0, 0.0)], [(np.nan, 4.0)])
 
 
+def kmedians_agent_values(f, S):
+    # Each client's utility 1 - min(G, min_e d(p, e)) / G, computed from the
+    # public inputs alone, sharing no code with the oracle.
+    G = f.normalizer
+    return np.array([1.0 - min([G] + [abs(px - ex) + abs(py - ey) for ex, ey in S]) / G
+                     for px, py in f.clients.tolist()])
+
+
 def test_kmedians_normalizer_slack_caps_distances():
     # G may sit up to 1e-9 below the largest distance; distances are capped
     # at G, so utilities stay in [0, 1] and the far client counts as unserved.
     f = kmedians_oracle([(0.0, 0.0), (3.0, 4.0)], [(3.0, 4.0)], normalizer=7.0 - 5e-10)
-    assert f.agent_values([(3.0, 4.0)]).tolist() == [0.0, 1.0]
+    assert kmedians_agent_values(f, [(3.0, 4.0)]).tolist() == [0.0, 1.0]
+    assert f.evaluate([(3.0, 4.0)]) == 1.0
     assert f.clustering_cost([(3.0, 4.0)]) == f.normalizer
 
 
@@ -418,7 +426,7 @@ def test_kmedians_agent_sum():
     candidates = [tuple(p) for p in rng.uniform(0, 5, size=(10, 2))]
     f = kmedians_oracle(clients, candidates)
     S = candidates[:3]
-    values = f.agent_values(S)
+    values = kmedians_agent_values(f, S)
     assert np.all(values >= 0.0) and np.all(values <= 1.0)
     assert f.evaluate(S) == pytest.approx(values.sum(), rel=1e-12)
 

@@ -831,6 +831,22 @@ def test_pssm_validation():
             make_cfg(n_bound=n_bound)
 
 
+def test_pssm_config_rejects_out_of_contract_seeds_and_counts():
+    # derive_seed reads a seed as int(seed) mod 2^64 and True is the int 1,
+    # so without these checks each value would alias an in-range seed or 1.
+    for seed in (1.5, True, 2**64 + 1, 2**64, -1, "1"):
+        with pytest.raises(ValueError, match="master_seed"):
+            make_cfg(master_seed=seed)
+    with pytest.raises(ValueError, match="k must"):
+        make_cfg(k=True)
+    with pytest.raises(ValueError, match="n_bound"):
+        make_cfg(n_bound=True)
+    f = coverage_oracle([0, 1, 2])
+    runs = [pssm(f, [0, 1, 2, 3], make_cfg(noise_kind=GUMBEL, k=2, m_bound=3.0, master_seed=seed))
+            for seed in (0, 2**64 - 1, np.uint64(2**64 - 1))]
+    assert runs[1] == runs[2]
+
+
 def test_pssm_single_pass_and_call_counts():
     # Stream of labels the records never mention: every marginal is 0, no
     # instance ever accepts, so each element is offered to all T instances.

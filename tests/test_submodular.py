@@ -144,7 +144,7 @@ def test_coverage_agent_sum_consistency():
     records = ["a", "a", "b", "c"]
     f = coverage_oracle(records)
     for S in ([], ["a"], ["a", "b"], ["c"], ["a", "b", "c"]):
-        assert f.evaluate(S) == f.agent_values(S).sum()
+        assert f.evaluate(S) == sum(1.0 for r in records if r in S)  # one agent per record
     assert f.num_agents == 4
 
 
